@@ -48,7 +48,9 @@ namespace
 struct TimedRun
 {
     MultiCoreResult result;
-    double wallSeconds = 0.0;
+    /** Scheduler accounting of the measured run (run, epoch and
+     *  barrier wall clock). */
+    SchedulerStats sched;
     /** Full simulated-state fingerprint (resultFingerprint). */
     std::vector<std::uint64_t> fingerprint;
 };
@@ -83,7 +85,7 @@ runConfig(const MultiCoreConfig &cfg)
     sys.scheduler().resetStats();
     TimedRun t;
     t.result = sys.run(gMeasure);
-    t.wallSeconds = sys.scheduler().stats().wallSeconds;
+    t.sched = sys.scheduler().stats();
     t.fingerprint = resultFingerprint(sys, t.result);
     return t;
 }
@@ -108,7 +110,9 @@ jsonLine(unsigned n, SchedulerPolicy pol, Engine eng, unsigned clusters,
                 "\"instructions\":%llu,\"events\":%llu,"
                 "\"makespan_cycles\":%llu,\"aggregate_ipc\":%.4f,"
                 "\"l2_local\":%llu,\"l2_remote\":%llu,"
-                "\"wall_s\":%.6f,\"events_per_s\":%.0f}\n",
+                "\"wall_s\":%.6f,\"events_per_s\":%.0f,"
+                "\"epochs\":%llu,\"epoch_wall_s\":%.6f,"
+                "\"barrier_wall_s\":%.6f}\n",
                 n, policyName(pol), engineName(eng), clusters,
                 fadesPerShard,
                 (unsigned long long)r.totalInstructions,
@@ -116,7 +120,10 @@ jsonLine(unsigned n, SchedulerPolicy pol, Engine eng, unsigned clusters,
                 (unsigned long long)r.cycles, r.aggregateIpc,
                 (unsigned long long)r.l2LocalAccesses,
                 (unsigned long long)r.l2RemoteAccesses,
-                t.wallSeconds, r.totalEvents / t.wallSeconds);
+                t.sched.wallSeconds,
+                r.totalEvents / t.sched.wallSeconds,
+                (unsigned long long)t.sched.epochs,
+                t.sched.epochWall.sum(), t.sched.barrierWall.sum());
 }
 
 /** Flat policy × engine sweep at one shard count. Returns false on a
@@ -193,14 +200,16 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
         const TimedRun &par = runs[e][1];
         std::printf("  engine %-8s lockstep %.3fs | parallel %.3fs "
                     "| policy speedup %.2fx\n",
-                    engineName(kEngines[e]), lock.wallSeconds,
-                    par.wallSeconds,
-                    lock.wallSeconds / par.wallSeconds);
+                    engineName(kEngines[e]), lock.sched.wallSeconds,
+                    par.sched.wallSeconds,
+                    lock.sched.wallSeconds / par.sched.wallSeconds);
     }
     std::printf("  batched/percycle engine speedup (lockstep): %.2fx\n",
-                runs[0][0].wallSeconds / runs[1][0].wallSeconds);
+                runs[0][0].sched.wallSeconds /
+                    runs[1][0].sched.wallSeconds);
     std::printf("  rungrain/percycle engine speedup (lockstep): %.2fx\n",
-                runs[0][0].wallSeconds / runs[2][0].wallSeconds);
+                runs[0][0].sched.wallSeconds /
+                    runs[2][0].sched.wallSeconds);
     for (int e = 0; e < 3; ++e)
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched})

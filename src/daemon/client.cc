@@ -98,13 +98,16 @@ DaemonClient::configure(const WireSessionConfig &wc,
 }
 
 SessionOutcome
-DaemonClient::run(int perFrameSleepMs)
+DaemonClient::run(int perFrameSleepMs,
+                  const std::function<void(FrameType)> &onFrame)
 {
     writeFrame(fd_, {std::uint8_t(FrameType::Run)});
 
     SessionOutcome o;
     for (;;) {
         std::vector<std::uint8_t> body = nextFrame(fd_);
+        if (onFrame)
+            onFrame(FrameType(body.at(0)));
         if (perFrameSleepMs > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(perFrameSleepMs));

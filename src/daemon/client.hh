@@ -9,6 +9,7 @@
 #ifndef FADE_DAEMON_CLIENT_HH
 #define FADE_DAEMON_CLIENT_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,8 +58,13 @@ class DaemonClient
     /** Start the configured session and block until it finishes
      *  (Result + Bye) or fails. @p perFrameSleepMs > 0 sleeps between
      *  received frames — the slow-reader knob the backpressure tests
-     *  use to force the daemon to park this session. */
-    SessionOutcome run(int perFrameSleepMs = 0);
+     *  use to force the daemon to park this session. @p onFrame, when
+     *  set, sees the type of every received frame before it is
+     *  handled (the first one tells whether the session was admitted:
+     *  Started or Rejected). */
+    SessionOutcome
+    run(int perFrameSleepMs = 0,
+        const std::function<void(FrameType)> &onFrame = {});
 
     /** Orderly goodbye (Close frame); the destructor only closes the
      *  socket. */

@@ -121,6 +121,7 @@ SliceL2View::SliceL2View(Cache &base) : base_(base)
     // level would mutate shared state from worker threads.
     fatal_if(base.next_ != nullptr,
              "SliceL2View requires a last-level base cache");
+    slot_.assign(base.numSets_, -1);
     beginEpoch();
 }
 
@@ -135,16 +136,17 @@ SliceL2View::access(Addr addr, bool write)
     // itself is the shared Cache::accessSet, so it cannot drift.
     Addr a = addr ^ base_.addrSalt_;
     unsigned si = base_.setIndex(a);
-    auto it = cow_.find(si);
-    if (it == cow_.end()) {
+    unsigned ways = base_.params_.ways;
+    std::int32_t &slot = slot_[si];
+    if (slot < 0) {
+        slot = std::int32_t(touched_.size());
+        touched_.push_back(si);
         const Cache::Line *src = base_.setLines(si);
-        it = cow_.emplace(si, std::vector<Cache::Line>(
-                                  src, src + base_.params_.ways))
-                 .first;
+        pool_.insert(pool_.end(), src, src + ways);
     }
     ++lruClock_;
 
-    if (Cache::accessSet(it->second.data(), base_.params_.ways,
+    if (Cache::accessSet(&pool_[std::size_t(slot) * ways], ways,
                          base_.tagOf(a), lruClock_)) {
         ++hits_;
         return base_.params_.latency;
@@ -166,7 +168,10 @@ SliceL2View::commit()
 void
 SliceL2View::beginEpoch()
 {
-    cow_.clear();
+    for (unsigned si : touched_)
+        slot_[si] = -1;
+    touched_.clear();
+    pool_.clear();
     log_.clear();
     hits_ = misses_ = 0;
     lruClock_ = base_.lruClock_;

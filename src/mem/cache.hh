@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -177,12 +176,15 @@ class Cache : public MemPort
  * During a slice the underlying cache is frozen: the view services its
  * shard's accesses against copy-on-write copies of the sets it touches
  * (seeded from the base at first touch), applying exactly the lookup /
- * fill / LRU policy of Cache::access, and logs every access. At the
- * slice barrier the scheduler calls commit() on each view in fixed
- * shard order: the log is replayed into the base via Cache::touch and
- * the view's hit/miss counts are folded into the base counters. After
- * all views have committed, beginEpoch() rebases each view onto the
- * merged state for the next slice.
+ * fill / LRU policy of Cache::access, and logs every access. The copies
+ * live in a line pool addressed through a flat per-set slot index; the
+ * index, pool and log keep their capacity across epochs, so once a
+ * view has seen its largest slice, access() and beginEpoch() do not
+ * allocate. At the slice barrier the scheduler calls commit() on each
+ * view in fixed shard order: the log is replayed into the base via
+ * Cache::touch and the view's hit/miss counts are folded into the
+ * base counters. After all views have committed, beginEpoch() rebases
+ * each view onto the merged state for the next slice.
  *
  * Because a slice's outcome depends only on the base state at the slice
  * barrier plus the shard's own accesses, the merged result is identical
@@ -218,8 +220,14 @@ class SliceL2View : public MemPort
 
   private:
     Cache &base_;
-    /** Copy-on-write set copies, keyed by set index. */
-    std::unordered_map<unsigned, std::vector<Cache::Line>> cow_;
+    /** Per base set: the set's copy in pool_ (in sets), or -1 while the
+     *  set is untouched this epoch. */
+    std::vector<std::int32_t> slot_;
+    /** Sets copied this epoch, in first-touch order (beginEpoch()
+     *  resets exactly these slots). */
+    std::vector<unsigned> touched_;
+    /** Copy-on-write set copies, touched_.size() * ways lines. */
+    std::vector<Cache::Line> pool_;
     /** Access log (original addresses, in order). */
     std::vector<Addr> log_;
     std::uint64_t lruClock_ = 0;

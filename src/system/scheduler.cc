@@ -12,11 +12,9 @@ namespace
 {
 
 double
-secondsSince(std::chrono::steady_clock::time_point t0)
+seconds(std::chrono::steady_clock::duration d)
 {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return std::chrono::duration<double>(d).count();
 }
 
 } // namespace
@@ -118,8 +116,8 @@ ShardScheduler::workerCount() const
         return 1;
     // An explicit hostThreads is honored even past the hardware
     // concurrency (oversubscription changes wall clock, never
-    // results); the default uses one worker per shard up to the
-    // host's parallelism.
+    // results); the default uses one thread per shard up to the
+    // host's parallelism. Either count includes the calling thread.
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     unsigned want = cfg_.hostThreads ? cfg_.hostThreads : hw;
     return std::max(1u, std::min(want, unsigned(runners_.size())));
@@ -131,17 +129,27 @@ ShardScheduler::startWorkers()
     unsigned n = workerCount();
     if (n < 2 || !workers_.empty())
         return;
-    workers_.reserve(n);
-    for (unsigned w = 0; w < n; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
+    workers_.reserve(n - 1);
+    for (unsigned t = 1; t < n; ++t)
+        workers_.emplace_back([this, t, n] { workerLoop(t, n); });
 }
 
 void
-ShardScheduler::workerLoop(unsigned worker)
+ShardScheduler::runStripe(unsigned stripe, unsigned stride)
+{
+    // Static striping: thread t owns shards t, t+W, t+2W, ... so a
+    // shard is touched by exactly one thread per epoch. (Shard results
+    // cannot depend on this assignment; see file header.)
+    for (std::size_t i = stripe; i < runners_.size(); i += stride)
+        if (!runners_[i]->done())
+            runners_[i]->runSlice(cfg_.sliceTicks);
+}
+
+void
+ShardScheduler::workerLoop(unsigned stripe, unsigned stride)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        std::uint64_t ticks;
         {
             std::unique_lock<std::mutex> lk(m_);
             workCv_.wait(lk,
@@ -149,15 +157,8 @@ ShardScheduler::workerLoop(unsigned worker)
             if (stop_)
                 return;
             seen = epochSeq_;
-            ticks = epochTicks_;
         }
-        // Static striping: worker w owns shards w, w+W, w+2W, ... so a
-        // shard is touched by exactly one thread per epoch. (Shard
-        // results cannot depend on this assignment; see file header.)
-        for (std::size_t i = worker; i < runners_.size();
-             i += workers_.size())
-            if (!runners_[i]->done())
-                runners_[i]->runSlice(ticks);
+        runStripe(stripe, stride);
         {
             std::lock_guard<std::mutex> lk(m_);
             if (--pending_ == 0)
@@ -166,33 +167,33 @@ ShardScheduler::workerLoop(unsigned worker)
     }
 }
 
-void
+std::chrono::steady_clock::time_point
 ShardScheduler::runEpoch()
 {
     if (workers_.empty()) {
         // Lockstep policy (or a parallel pool collapsed to one
-        // worker): the same slice protocol, sequential in shard order.
-        for (auto &r : runners_)
-            if (!r->done())
-                r->runSlice(cfg_.sliceTicks);
+        // thread): the same slice protocol, sequential in shard order.
+        runStripe(0, 1);
     } else {
         {
             std::lock_guard<std::mutex> lk(m_);
-            epochTicks_ = cfg_.sliceTicks;
             pending_ = unsigned(workers_.size());
             ++epochSeq_;
         }
         workCv_.notify_all();
+        runStripe(0, unsigned(workers_.size()) + 1);
         std::unique_lock<std::mutex> lk(m_);
         doneCv_.wait(lk, [&] { return pending_ == 0; });
     }
 
     // Barrier: merge L2 traffic in fixed shard order, then rebase
     // every view on the merged state. Single-threaded by design.
+    auto barrier = std::chrono::steady_clock::now();
     for (auto &r : runners_)
         r->commitSlice();
     for (auto &r : runners_)
         r->beginEpoch();
+    return barrier;
 }
 
 void
@@ -232,8 +233,10 @@ ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
             panic_if(!r->done() && r->ticksUsed() >= cycleLimit_,
                      "multi-core ", what_, " failed to make progress");
         auto e0 = std::chrono::steady_clock::now();
-        runEpoch();
-        stats_.epochWall.sample(secondsSince(e0));
+        auto barrier = runEpoch();
+        auto e1 = std::chrono::steady_clock::now();
+        stats_.epochWall.sample(seconds(e1 - e0));
+        stats_.barrierWall.sample(seconds(e1 - barrier));
         ++stats_.epochs;
         stats_.slices += n;
     }
@@ -244,7 +247,7 @@ ShardScheduler::stepEpochs(std::uint64_t maxEpochs)
         r->detach();
         stats_.ticks += r->ticksUsed();
     }
-    stats_.wallSeconds += secondsSince(runT0_);
+    stats_.wallSeconds += seconds(std::chrono::steady_clock::now() - runT0_);
     running_ = false;
     return true;
 }

@@ -78,8 +78,10 @@ struct SchedulerConfig
      * granularity) but never on the policy or host thread count.
      */
     std::uint64_t sliceTicks = 4096;
-    /** Worker threads for ParallelBatched; 0 = one per shard, capped
-     *  at the host's hardware concurrency. */
+    /** Host threads a ParallelBatched epoch uses, the calling thread
+     *  included (it runs stripe 0; the pool holds the other
+     *  hostThreads - 1); 0 = one per shard, capped at the host's
+     *  hardware concurrency. */
     unsigned hostThreads = 0;
 };
 
@@ -96,13 +98,16 @@ struct SchedulerStats
     double wallSeconds = 0.0;
     /** Per-epoch wall-clock seconds (mean/min/max/stddev). */
     RunningStat epochWall;
+    /** Per-epoch barrier share of epochWall: from the last slice's end
+     *  to the rebased views (commit + beginEpoch). */
+    RunningStat barrierWall;
 };
 
 /**
  * Drives one shard in bounded slices against its per-slice
  * SliceL2Views, reached through the shard's DirectoryPort. The
  * scheduler owns one runner per shard; runSlice() is the only method
- * invoked from worker threads.
+ * invoked from more than one thread.
  */
 class ShardRunner
 {
@@ -168,14 +173,19 @@ class ShardRunner
 
 /**
  * Runs N shards to a per-shard instruction target under the configured
- * policy. Construction is cheap; the ParallelBatched worker pool is
- * started lazily on the first parallel run() and joined in the
- * destructor.
+ * policy. Construction is cheap; the ParallelBatched worker pool
+ * (workerCount() - 1 threads) is started lazily on the first parallel
+ * run() and joined in the destructor.
+ *
+ * A parallel epoch stripes the shards statically over workerCount()
+ * threads: thread t runs shards t, t+W, t+2W, ... The calling thread
+ * is thread 0, so it computes a stripe instead of sleeping through
+ * the epoch.
  *
  * Thread-safety contract: run(), resetStats() and stats() must be
- * called from one thread (the owner's). Workers only ever execute
- * ShardRunner::runSlice between barriers; every merge step
- * (commitSlice, beginEpoch, stat rollups) happens on the calling
+ * called from one thread (the owner's). Between barriers every thread
+ * only executes ShardRunner::runSlice on its own stripe; every merge
+ * step (commitSlice, beginEpoch, stat rollups) happens on the calling
  * thread with workers quiescent, so simulated state needs no locks.
  */
 class ShardScheduler
@@ -237,13 +247,17 @@ class ShardScheduler
     /** Shard @p i's runner (route-stat collection). */
     ShardRunner &runner(unsigned i) { return *runners_.at(i); }
 
-    /** Worker threads a parallel epoch uses (1 when sequential). */
+    /** Threads a parallel epoch uses, the calling thread included (1
+     *  when sequential). */
     unsigned workerCount() const;
 
   private:
-    void runEpoch();
+    /** Run one epoch's slices and its barrier; @return the time the
+     *  barrier started. */
+    std::chrono::steady_clock::time_point runEpoch();
+    void runStripe(unsigned stripe, unsigned stride);
     void startWorkers();
-    void workerLoop(unsigned worker);
+    void workerLoop(unsigned stripe, unsigned stride);
 
     SchedulerConfig cfg_;
     std::vector<std::unique_ptr<ShardRunner>> runners_;
@@ -255,13 +269,13 @@ class ShardScheduler
     std::uint64_t cycleLimit_ = 0;
     std::chrono::steady_clock::time_point runT0_;
 
-    /** Worker pool (ParallelBatched only; empty until first use). */
+    /** Worker pool (ParallelBatched only; empty until first use).
+     *  workers_[i] runs stripe i + 1. */
     std::vector<std::thread> workers_;
     std::mutex m_;
     std::condition_variable workCv_;
     std::condition_variable doneCv_;
     std::uint64_t epochSeq_ = 0;
-    std::uint64_t epochTicks_ = 0;
     unsigned pending_ = 0;
     bool stop_ = false;
 };

@@ -647,7 +647,10 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
 
     // Start two sessions, then stop the daemon from another thread
     // while they run: both must still deliver complete, correct
-    // results (drain semantics), after which the daemon is down.
+    // results (drain semantics), after which the daemon is down. A
+    // session is admitted only when its Run frame reaches the pool, so
+    // stop() waits for each client's first reply to Run (Started once
+    // admitted), not merely for configure() to return.
     std::vector<WireSessionConfig> wcs = {
         liveConfig("MemLeak", "bzip"),
         liveConfig("AddrCheck", "mcf", 2, 1, 0),
@@ -662,8 +665,12 @@ TEST(DaemonAdmission, ShutdownDrainsInFlightSessions)
                 started.fetch_add(1);
                 return;
             }
-            started.fetch_add(1);
-            outcomes[i] = client.run();
+            bool first = true;
+            outcomes[i] = client.run(0, [&](FrameType) {
+                if (first)
+                    started.fetch_add(1);
+                first = false;
+            });
             client.close();
         });
     while (started.load() < wcs.size())

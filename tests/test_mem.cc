@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -111,6 +113,131 @@ TEST_P(CacheWorkingSetSweep, ResidentSetStaysResident)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CacheWorkingSetSweep,
                          ::testing::Values(1, 16, 128, 512));
+
+namespace
+{
+
+/** 64 sets x 4 ways, salted like a shard's view of a shared slice. */
+CacheParams
+viewParams()
+{
+    CacheParams p;
+    p.sizeBytes = 64 * 4 * 64;
+    p.ways = 4;
+    p.blockBytes = 64;
+    p.latency = 10;
+    return p;
+}
+
+constexpr std::uint64_t kViewSalt = std::uint64_t(3) << 44;
+constexpr unsigned kViewSets = 64;
+/** Two lines' worth of tags per way, so every set sees evictions. */
+constexpr unsigned kViewBlocks = kViewSets * 4 * 2;
+
+/** A seeded stream that first touches every set once, then draws
+ *  random bytes of the kViewBlocks-block universe. */
+std::vector<Addr>
+viewStream(std::uint64_t seed, unsigned n)
+{
+    Rng rng(seed);
+    std::vector<Addr> s;
+    for (unsigned set = 0; set < kViewSets; ++set)
+        s.push_back(Addr(set) * 64 + rng.range(64));
+    while (s.size() < n)
+        s.push_back(Addr(rng.range(kViewBlocks)) * 64 + rng.range(64));
+    return s;
+}
+
+Cache
+saltedCache()
+{
+    Cache c(viewParams(), nullptr, 90);
+    c.setAddrSalt(kViewSalt);
+    return c;
+}
+
+/** Residency of every block of the universe, via contains(). */
+std::vector<bool>
+residency(const Cache &c)
+{
+    std::vector<bool> r;
+    for (unsigned b = 0; b < kViewBlocks; ++b)
+        r.push_back(c.contains(Addr(b) * 64));
+    return r;
+}
+
+} // namespace
+
+TEST(SliceL2View, SingleViewMatchesDirectAccessAtAnyEpochLength)
+{
+    // One shard's view is exact: committing and rebasing every k
+    // accesses must reproduce direct access hit for hit. k = 1 resets
+    // a slot after every access; k = 4096 reuses the line pool across
+    // epochs that touch every set.
+    const std::vector<Addr> stream = viewStream(7, 12000);
+    for (unsigned k : {1u, 7u, 4096u}) {
+        SCOPED_TRACE(k);
+        Cache direct = saltedCache();
+        Cache base = saltedCache();
+        SliceL2View view(base);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            bool write = i % 3 == 0;
+            ASSERT_EQ(view.access(stream[i], write),
+                      direct.access(stream[i], write))
+                << "access " << i;
+            if ((i + 1) % k == 0 || i + 1 == stream.size()) {
+                view.commit();
+                view.beginEpoch();
+                ASSERT_EQ(base.hits(), direct.hits());
+                ASSERT_EQ(base.misses(), direct.misses());
+                ASSERT_EQ(residency(base), residency(direct))
+                    << "after access " << i;
+            }
+        }
+    }
+}
+
+TEST(SliceL2View, TwoViewsCommitLikeSequentialReplay)
+{
+    // Two shards' views over one base: each slice sees only the
+    // snapshot of the last barrier, and committing in shard order
+    // equals replaying both logs sequentially into the base.
+    const std::vector<Addr> sa = viewStream(11, 9000);
+    const std::vector<Addr> sb = viewStream(12, 9000);
+    for (unsigned k : {1u, 7u, 4096u}) {
+        SCOPED_TRACE(k);
+        Cache base = saltedCache();
+        SliceL2View va(base), vb(base);
+        Cache replay = saltedCache();
+        std::uint64_t hits = 0, misses = 0;
+        for (std::size_t e = 0; e < sa.size(); e += k) {
+            std::size_t end = std::min(sa.size(), e + k);
+            Cache snapA = replay, snapB = replay;
+            for (std::size_t i = e; i < end; ++i) {
+                // Interleave the shards access by access: the views
+                // must not observe each other within a slice.
+                ASSERT_EQ(va.access(sa[i], false),
+                          snapA.access(sa[i], false));
+                ASSERT_EQ(vb.access(sb[i], true),
+                          snapB.access(sb[i], true));
+            }
+            va.commit();
+            vb.commit();
+            va.beginEpoch();
+            vb.beginEpoch();
+            for (std::size_t i = e; i < end; ++i)
+                replay.touch(sa[i]);
+            for (std::size_t i = e; i < end; ++i)
+                replay.touch(sb[i]);
+            hits += snapA.hits() + snapB.hits();
+            misses += snapA.misses() + snapB.misses();
+            ASSERT_EQ(base.hits(), hits);
+            ASSERT_EQ(base.misses(), misses);
+            ASSERT_EQ(residency(base), residency(replay))
+                << "after epoch at " << e;
+        }
+    }
+}
 
 TEST(Shadow, DefaultValue)
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Shard scheduler tests: bit-equality of ParallelBatched vs Lockstep
- * across shard counts and slice sizes, determinism of repeated
- * parallel runs, N=1 equivalence with the legacy single-core system
- * under the slice protocol, and host-side accounting sanity.
+ * across shard counts, slice sizes and host thread counts, determinism
+ * of repeated parallel runs, N=1 equivalence with the legacy
+ * single-core system under the slice protocol, and host-side
+ * accounting sanity.
  */
 
 #include <gtest/gtest.h>
@@ -48,17 +49,25 @@ runOnce(MultiCoreConfig cfg)
 TEST(Scheduler, ParallelBitIdenticalToLockstep)
 {
     // The acceptance property of the parallel scheduler: for N in
-    // {1, 2, 4, 8}, every simulated number matches the sequential
-    // policy exactly. hostThreads forces a pool even on a single-CPU
-    // host for the N >= 2 legs (a single shard never starts workers).
-    for (unsigned n : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE(n);
+    // {1, 2, 3, 4, 8}, every simulated number matches the sequential
+    // policy exactly, whatever the host thread count. hostThreads
+    // forces a pool even on a single-CPU host for the N >= 2 legs (a
+    // single shard never starts workers). It counts the calling
+    // thread, which runs stripe 0, so the matrix covers the caller
+    // alone (1), uneven stripes (3 over 4 or 8 shards) and more
+    // threads than shards.
+    for (unsigned n : {1u, 2u, 3u, 4u, 8u}) {
         MultiCoreConfig lock = baseConfig(n);
         lock.scheduler.policy = SchedulerPolicy::Lockstep;
-        MultiCoreConfig par = baseConfig(n);
-        par.scheduler.policy = SchedulerPolicy::ParallelBatched;
-        par.scheduler.hostThreads = 4;
-        EXPECT_EQ(runOnce(lock), runOnce(par));
+        const std::vector<std::uint64_t> ref = runOnce(lock);
+        for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+            SCOPED_TRACE(testing::Message() << "shards " << n
+                                            << " threads " << threads);
+            MultiCoreConfig par = baseConfig(n);
+            par.scheduler.policy = SchedulerPolicy::ParallelBatched;
+            par.scheduler.hostThreads = threads;
+            EXPECT_EQ(runOnce(par), ref);
+        }
     }
 }
 
@@ -134,6 +143,7 @@ TEST(Scheduler, AccountingIsSane)
     sys.warmup(kWarm);
     sys.run(kRun);
     const SchedulerStats &st = sys.scheduler().stats();
+    // Threads per epoch, the calling thread included.
     EXPECT_EQ(sys.scheduler().workerCount(), 2u);
     EXPECT_GT(st.epochs, 0u);
     // Every epoch runs between 1 and numShards slices.
@@ -143,6 +153,8 @@ TEST(Scheduler, AccountingIsSane)
     // cover at least that many cycles in total.
     EXPECT_GT(st.ticks, 4 * (kWarm + kRun) / 2);
     EXPECT_EQ(st.epochWall.count(), st.epochs);
+    EXPECT_EQ(st.barrierWall.count(), st.epochs);
+    EXPECT_LE(st.barrierWall.sum(), st.epochWall.sum());
     EXPECT_GE(st.wallSeconds, 0.0);
 
     sys.scheduler().resetStats();
