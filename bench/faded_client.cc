@@ -20,7 +20,7 @@
  *
  * Config flags: --monitor M --profile P (repeatable) --shards N
  * --clusters C --fades K --policy lockstep|parallel
- * --engine percycle|batched|rungrain --warm N --instr N
+ * --engine percycle|rungrain --warm N --instr N
  * --seed-offset N --slow-ms N (sleep per received frame; exercises
  * daemon backpressure).
  */
@@ -36,6 +36,7 @@
 
 #include "daemon/client.hh"
 #include "daemon/session.hh"
+#include "system/system.hh"
 
 using namespace fade::daemon;
 
@@ -61,7 +62,7 @@ usage()
         "usage: faded_client --socket PATH [--monitor M] [--profile P]...\n"
         "                    [--shards N] [--clusters C] [--fades K]\n"
         "                    [--policy lockstep|parallel]\n"
-        "                    [--engine percycle|batched|rungrain]\n"
+        "                    [--engine percycle|rungrain]\n"
         "                    [--warm N] [--instr N] [--seed-offset N]\n"
         "                    [--upload FILE.ftrace] [--check] [--slow-ms N]\n"
         "                    [--sessions N --concurrency K]\n");
@@ -220,10 +221,8 @@ main(int argc, char **argv)
             opt.wc.policy =
                 !std::strcmp(next("--policy"), "parallel") ? 1 : 0;
         } else if (!std::strcmp(argv[i], "--engine")) {
-            std::string e = next("--engine");
-            opt.wc.engine = e == "rungrain" ? 2
-                            : e == "batched" ? 1
-                                             : 0;
+            opt.wc.engine =
+                std::uint8_t(fade::parseEngine(next("--engine")));
         } else if (!std::strcmp(argv[i], "--warm")) {
             opt.wc.warmup = std::strtoull(next("--warm"), nullptr, 10);
         } else if (!std::strcmp(argv[i], "--instr")) {

@@ -7,13 +7,12 @@
  *    behind one shared L2, running a multiprogrammed SPEC mix with
  *    MemLeak. Each N runs under every scheduler policy × intra-shard
  *    engine combination — {Lockstep, ParallelBatched} × {per-cycle,
- *    batched, run-grain} — and the harness hard-checks that per-cycle
- *    and batched produce bit-identical simulated statistics and that
- *    the run-grain engine is policy-invariant bit for bit, before
- *    reporting wall clock. Run-grain is NOT compared against per-cycle
- *    here: its timing model slices the warmup/measure windows at
- *    different stream positions, and MemLeak's handler-prepare
- *    feedback diverges functionally by design (the matched-window
+ *    run-grain} — and the harness hard-checks that each engine is
+ *    policy-invariant bit for bit before reporting wall clock.
+ *    Run-grain is NOT compared against per-cycle here: its timing
+ *    model slices the warmup/measure windows at different stream
+ *    positions, and MemLeak's handler-prepare feedback diverges
+ *    functionally by design (the matched-window
  *    cross-engine equality lives in tests/test_pipeline.cc and
  *    test_tracefile.cc; docs/ARCHITECTURE.md documents the divergence
  *    model). The N=1 row doubles as a regression check: it must match
@@ -22,14 +21,13 @@
  *  - Topology scaling: the same mix swept over NUMA-style clustered
  *    shapes (system/topology.hh) — clusters ∈ {1, 2, 4} shared-L2
  *    slices behind the home-node directory × fadesPerShard ∈ {1, 2}
- *    filter units — with a per-shape determinism hard-check:
- *    Lockstep/per-cycle vs ParallelBatched/batched, and
- *    Lockstep/run-grain vs ParallelBatched/run-grain, must each agree
- *    bit for bit.
+ *    filter units — with a per-shape determinism hard-check: Lockstep
+ *    vs ParallelBatched must agree bit for bit under each engine.
  *
  * One machine-readable JSON line is emitted per (N, policy, engine,
  * clusters, fadesPerShard) so BENCH_*.json trajectories can track
- * events/sec across PRs (docs/BENCHMARKS.md documents the fields).
+ * events/sec across PRs, with the per-cycle driver's fused/skipped
+ * cycle split (docs/BENCHMARKS.md documents the fields).
  * `--smoke` runs a reduced 2×2-cluster matrix with short slices — the
  * Release CI job uses it to exercise the cluster path every build.
  */
@@ -38,6 +36,7 @@
 
 #include "bench/common.hh"
 #include "system/multicore.hh"
+#include "system/pipeline.hh"
 
 using namespace fade;
 using namespace fade::bench;
@@ -53,6 +52,9 @@ struct TimedRun
     SchedulerStats sched;
     /** Full simulated-state fingerprint (resultFingerprint). */
     std::vector<std::uint64_t> fingerprint;
+    /** Per-cycle driver accounting of the measured run, summed over
+     *  shards (all zero under the run-grain engine). */
+    PipelineDriverStats driver;
 };
 
 std::uint64_t gWarm = warmupInsts;
@@ -74,11 +76,27 @@ baseConfig(const std::vector<BenchProfile> &mix, unsigned n,
     return cfg;
 }
 
+/** Per-cycle driver counters summed over every shard. */
+PipelineDriverStats
+driverTotals(MultiCoreSystem &sys)
+{
+    PipelineDriverStats sum;
+    for (unsigned i = 0; i < sys.numShards(); ++i) {
+        if (const PipelineDriver *d = sys.shard(i).pipelineDriver()) {
+            sum.fusedCycles += d->stats().fusedCycles;
+            sum.skippedCycles += d->stats().skippedCycles;
+            sum.jumps += d->stats().jumps;
+        }
+    }
+    return sum;
+}
+
 TimedRun
 runConfig(const MultiCoreConfig &cfg)
 {
     MultiCoreSystem sys(cfg);
     sys.warmup(gWarm);
+    const PipelineDriverStats before = driverTotals(sys);
     // Time only the measured run, via the scheduler's own accounting:
     // warmup ends in a sequential per-shard drain that would dilute
     // the policy comparison.
@@ -87,11 +105,14 @@ runConfig(const MultiCoreConfig &cfg)
     t.result = sys.run(gMeasure);
     t.sched = sys.scheduler().stats();
     t.fingerprint = resultFingerprint(sys, t.result);
+    const PipelineDriverStats after = driverTotals(sys);
+    t.driver.fusedCycles = after.fusedCycles - before.fusedCycles;
+    t.driver.skippedCycles = after.skippedCycles - before.skippedCycles;
+    t.driver.jumps = after.jumps - before.jumps;
     return t;
 }
 
-constexpr Engine kEngines[] = {Engine::PerCycle, Engine::Batched,
-                               Engine::RunGrain};
+constexpr Engine kEngines[] = {Engine::PerCycle, Engine::RunGrain};
 
 const char *
 policyName(SchedulerPolicy p)
@@ -112,7 +133,8 @@ jsonLine(unsigned n, SchedulerPolicy pol, Engine eng, unsigned clusters,
                 "\"l2_local\":%llu,\"l2_remote\":%llu,"
                 "\"wall_s\":%.6f,\"events_per_s\":%.0f,"
                 "\"epochs\":%llu,\"epoch_wall_s\":%.6f,"
-                "\"barrier_wall_s\":%.6f}\n",
+                "\"barrier_wall_s\":%.6f,\"fused_cycles\":%llu,"
+                "\"skipped_cycles\":%llu,\"jumps\":%llu}\n",
                 n, policyName(pol), engineName(eng), clusters,
                 fadesPerShard,
                 (unsigned long long)r.totalInstructions,
@@ -123,7 +145,10 @@ jsonLine(unsigned n, SchedulerPolicy pol, Engine eng, unsigned clusters,
                 t.sched.wallSeconds,
                 r.totalEvents / t.sched.wallSeconds,
                 (unsigned long long)t.sched.epochs,
-                t.sched.epochWall.sum(), t.sched.barrierWall.sum());
+                t.sched.epochWall.sum(), t.sched.barrierWall.sum(),
+                (unsigned long long)t.driver.fusedCycles,
+                (unsigned long long)t.driver.skippedCycles,
+                (unsigned long long)t.driver.jumps);
 }
 
 /** Flat policy × engine sweep at one shard count. Returns false on a
@@ -137,37 +162,25 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
             std::to_string(n) + " (MemLeak, SPEC mix)")
                .c_str());
 
-    // All six policy × engine combinations; index [engine][policy].
-    TimedRun runs[3][2];
-    for (int e = 0; e < 3; ++e)
+    // All four policy × engine combinations; index [engine][policy].
+    TimedRun runs[2][2];
+    for (int e = 0; e < 2; ++e)
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched})
             runs[e][pol == SchedulerPolicy::ParallelBatched] =
                 runConfig(baseConfig(mix, n, pol, kEngines[e]));
 
-    // Per-cycle and batched are bit-identical everywhere; the
-    // run-grain timing model slices windows differently (so it is not
-    // compared against them here) but must itself be policy-invariant
-    // bit for bit.
+    // The run-grain timing model slices windows differently from
+    // per-cycle (so the engines are not compared here), but each must
+    // be policy-invariant bit for bit.
     const TimedRun &reference = runs[0][0];
-    for (int e = 0; e < 3; ++e) {
-        if (kEngines[e] == Engine::RunGrain)
-            continue;
-        for (int p = 0; p < 2; ++p) {
-            if (runs[e][p].fingerprint != reference.fingerprint) {
-                std::printf("DIVERGENCE at N=%u: engine=%s policy=%s "
-                            "does not match the per-cycle lockstep "
-                            "reference\n",
-                            n, engineName(kEngines[e]),
-                            p ? "parallel" : "lockstep");
-                return false;
-            }
+    for (int e = 0; e < 2; ++e) {
+        if (runs[e][0].fingerprint != runs[e][1].fingerprint) {
+            std::printf("DIVERGENCE at N=%u: engine %s is not "
+                        "policy-invariant\n",
+                        n, engineName(kEngines[e]));
+            return false;
         }
-    }
-    if (runs[2][0].fingerprint != runs[2][1].fingerprint) {
-        std::printf("DIVERGENCE at N=%u: run-grain engine is not "
-                    "policy-invariant\n", n);
-        return false;
     }
 
     const MultiCoreResult &r = reference.result;
@@ -193,9 +206,8 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
                 (unsigned long long)r.totalEvents,
                 r.filteringRatio * 100.0,
                 (unsigned long long)r.fade.crossShardEvents);
-    std::printf("wall-clock (percycle/batched bit-identical, rungrain "
-                "policy-invariant):\n");
-    for (int e = 0; e < 3; ++e) {
+    std::printf("wall-clock (both engines policy-invariant):\n");
+    for (int e = 0; e < 2; ++e) {
         const TimedRun &lock = runs[e][0];
         const TimedRun &par = runs[e][1];
         std::printf("  engine %-8s lockstep %.3fs | parallel %.3fs "
@@ -204,13 +216,16 @@ flatSweep(const std::vector<BenchProfile> &mix, unsigned n,
                     par.sched.wallSeconds,
                     lock.sched.wallSeconds / par.sched.wallSeconds);
     }
-    std::printf("  batched/percycle engine speedup (lockstep): %.2fx\n",
-                runs[0][0].sched.wallSeconds /
-                    runs[1][0].sched.wallSeconds);
     std::printf("  rungrain/percycle engine speedup (lockstep): %.2fx\n",
                 runs[0][0].sched.wallSeconds /
-                    runs[2][0].sched.wallSeconds);
-    for (int e = 0; e < 3; ++e)
+                    runs[1][0].sched.wallSeconds);
+    const PipelineDriverStats &d = reference.driver;
+    std::printf("  per-cycle driver (lockstep): %llu fused + %llu "
+                "skipped cycles in %llu jumps\n",
+                (unsigned long long)d.fusedCycles,
+                (unsigned long long)d.skippedCycles,
+                (unsigned long long)d.jumps);
+    for (int e = 0; e < 2; ++e)
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched})
             jsonLine(n, pol, kEngines[e], 1, 1,
@@ -251,11 +266,10 @@ topologyPoint(const std::vector<BenchProfile> &mix, unsigned n,
                                         fades));
     TimedRun cross = runConfig(
         baseConfig(mix, n, SchedulerPolicy::ParallelBatched,
-                   Engine::Batched, clusters, fades));
+                   Engine::PerCycle, clusters, fades));
     if (cross.fingerprint != ref.fingerprint) {
         std::printf("DIVERGENCE at N=%u clusters=%u fades=%u: "
-                    "parallel/batched does not match "
-                    "lockstep/per-cycle\n",
+                    "per-cycle is not policy-invariant\n",
                     n, clusters, fades);
         return false;
     }
@@ -273,7 +287,7 @@ topologyPoint(const std::vector<BenchProfile> &mix, unsigned n,
     }
     jsonLine(n, SchedulerPolicy::Lockstep, Engine::PerCycle, clusters,
              fades, ref);
-    jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::Batched,
+    jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::PerCycle,
              clusters, fades, cross);
     jsonLine(n, SchedulerPolicy::ParallelBatched, Engine::RunGrain,
              clusters, fades, grain);
@@ -313,9 +327,8 @@ topologySweep(const std::vector<BenchProfile> &mix)
         }
     }
     t.print();
-    std::printf("\nevery shape bit-identical across "
-                "lockstep/per-cycle vs parallel/batched, and "
-                "policy-invariant under run-grain\n\n");
+    std::printf("\nevery shape policy-invariant bit for bit under "
+                "both engines\n\n");
     return true;
 }
 
@@ -328,41 +341,33 @@ smoke()
     gMeasure = 16000;
     const std::vector<BenchProfile> mix = multiprogramWorkloads("hmmer");
     header("fig12 --smoke: 2x2 clustered topology, 2 FADEs/shard");
-    TimedRun ref, grainRef;
-    bool first = true, grainFirst = true;
-    for (Engine eng : kEngines) {
+    // Run-grain slices windows differently from per-cycle (not
+    // compared), but each engine must be policy-invariant bitwise.
+    TimedRun refs[2];
+    for (int e = 0; e < 2; ++e) {
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched}) {
-            MultiCoreConfig cfg = baseConfig(mix, 0, pol, eng, 2, 2);
+            MultiCoreConfig cfg =
+                baseConfig(mix, 0, pol, kEngines[e], 2, 2);
             cfg.topology.shardsPerCluster = 2; // 2 clusters x 2 shards
             TimedRun t = runConfig(cfg);
-            jsonLine(4, pol, eng, 2, 2, t);
-            if (eng == Engine::RunGrain) {
-                // Run-grain slices windows differently from per-cycle
-                // (not compared), but must be policy-invariant bitwise.
-                if (grainFirst) {
-                    grainRef = std::move(t);
-                    grainFirst = false;
-                } else if (t.fingerprint != grainRef.fingerprint) {
-                    std::printf("SMOKE DIVERGENCE: run-grain not "
-                                "policy-invariant\n");
-                    return 1;
-                }
-                continue;
-            }
-            if (first) {
-                ref = std::move(t);
-                first = false;
-                continue;
-            }
-            if (t.fingerprint != ref.fingerprint) {
-                std::printf("SMOKE DIVERGENCE: policy=%s engine=%s\n",
-                            policyName(pol), engineName(eng));
+            jsonLine(4, pol, kEngines[e], 2, 2, t);
+            if (pol == SchedulerPolicy::Lockstep) {
+                refs[e] = std::move(t);
+            } else if (t.fingerprint != refs[e].fingerprint) {
+                std::printf("SMOKE DIVERGENCE: engine %s not "
+                            "policy-invariant\n",
+                            engineName(kEngines[e]));
                 return 1;
             }
         }
     }
-    const MultiCoreResult &r = ref.result;
+    const MultiCoreResult &r = refs[0].result;
+    if (refs[0].driver.jumps == 0) {
+        std::printf("SMOKE FAILURE: the per-cycle driver skipped no "
+                    "frozen span\n");
+        return 1;
+    }
     if (r.fade.crossShardEvents != 0 || r.l2RemoteAccesses == 0) {
         std::printf("SMOKE FAILURE: cross-shard events %llu, "
                     "remote accesses %llu\n",
@@ -371,8 +376,8 @@ smoke()
         return 1;
     }
     std::printf("smoke OK: 4 shards, 2 clusters, remote share %.1f%%, "
-                "all 6 combinations checked (percycle/batched bitwise, "
-                "rungrain policy-invariant)\n",
+                "all 4 combinations checked (both engines "
+                "policy-invariant)\n",
                 100.0 * r.l2RemoteAccesses /
                     double(r.l2LocalAccesses + r.l2RemoteAccesses));
     return 0;

@@ -69,7 +69,7 @@ usage()
         "                  [--shards N] [--clusters C] [--fades K]\n"
         "                  [--warm N] [--instr N] [--policy lockstep|"
         "parallel]\n"
-        "                  [--engine percycle|batched|rungrain]\n"
+        "                  [--engine percycle|rungrain]\n"
         "       trace_tool --replay FILE [--policy ...] [--engine ...]\n"
         "       trace_tool --verify FILE...\n"
         "       trace_tool --stats FILE\n"

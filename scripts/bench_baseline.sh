@@ -2,9 +2,9 @@
 # Capture the current perf baseline as JSON lines so the trajectory of
 # the functional-layer fast paths is recorded in-repo. Runs the two
 # micro harnesses (micro_trace: generator ns/instr + container op
-# rates; micro_pipeline: per-cycle vs batched vs run-grain engine
-# events/s with the hard equality checks — bitwise for batched,
-# functional for run-grain — and the run-grain cycle decomposition)
+# rates; micro_pipeline: per-cycle vs run-grain engine events/s with
+# the hard functional equality check for run-grain, the per-cycle
+# driver's fused/skipped split and the run-grain cycle decomposition)
 # plus trace_tool --bench (live vs capture vs replay events/s with the
 # hard replay bit-identity check, once per engine) and the daemon
 # load harness (faded serving concurrent faded_client sessions over a
@@ -38,11 +38,11 @@ trap 'rm -f "$tmp"' EXIT
 echo "== micro_trace (median of in-harness reps) =="
 "$builddir/micro_trace" | tee -a "$tmp"
 
-echo "== micro_pipeline (3 engines, median of in-harness reps) =="
+echo "== micro_pipeline (2 engines, median of in-harness reps) =="
 "$builddir/micro_pipeline" | tee -a "$tmp"
 
 echo "== trace_tool --bench (replay vs live, bit-identity checked) =="
-for engine in percycle batched rungrain; do
+for engine in percycle rungrain; do
     "$builddir/trace_tool" --bench --engine "$engine" | tee -a "$tmp"
 done
 

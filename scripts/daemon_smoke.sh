@@ -46,7 +46,7 @@ pids="$pids $!"
     --warm 1000 --instr 4000 &
 pids="$pids $!"
 "$builddir/faded_client" --socket "$sock" --check \
-    --monitor TaintCheck --profile astar --engine batched \
+    --monitor TaintCheck --profile astar --engine percycle \
     --warm 1000 --instr 4000 &
 pids="$pids $!"
 "$builddir/faded_client" --socket "$sock" --check \

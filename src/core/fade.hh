@@ -147,7 +147,7 @@ struct FadeStats
 };
 
 /**
- * Batched-engine stall assessment of one FADE instance at one cycle
+ * Frozen-span stall assessment of one FADE instance at one cycle
  * (system/pipeline.hh). When active is false, tick() is guaranteed to
  * change nothing but the flagged per-cycle counters until wakeAt (or
  * until an external input — queues, handler completions — changes),

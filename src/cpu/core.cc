@@ -289,76 +289,21 @@ Core::dispatchInst(HwThread &t, Cycle now, RobEntry &e)
     e.readyAt = readyAt;
 }
 
-void
-Core::tick(Cycle now)
-{
-    ++cycles_;
-    unsigned n = unsigned(threads_.size());
-    if (n == 0)
-        return;
-
-    // Per-cycle condition accounting (before any state changes).
-    for (auto &t : threads_) {
-        if (t.rob.size() >= robCapacity())
-            ++t.stats.robFullCycles;
-        if (now < t.fetchStallUntil)
-            ++t.stats.fetchBubbleCycles;
-        if (t.rob.empty() && (!t.src || !t.src->available()))
-            ++t.stats.idleCycles;
-    }
-
-    // Commit: up to `width` slots shared round-robin across threads.
-    // A thread whose head is not ready (or is refused by its sink)
-    // yields its slots to the other thread. (Identical slot sharing to
-    // stepCycle(); kept allocation-free for the same reason.)
-    {
-        unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = commitRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryCommitOne(threads_[t], now))
-                    --budget;
-                else
-                    open[t] = false;
-            }
-            if (++t == n)
-                t = 0;
-        }
-        commitRr_ = commitRr_ + 1 == n ? 0 : commitRr_ + 1;
-    }
-
-    // Dispatch: same slot-by-slot sharing.
-    {
-        unsigned budget = params_.width;
-        std::array<bool, 2> open{true, n > 1};
-        unsigned t = dispatchRr_;
-        while (budget > 0 && (open[0] || open[1])) {
-            if (open[t]) {
-                if (tryDispatchOne(threads_[t], now))
-                    --budget;
-                else
-                    open[t] = false;
-            }
-            if (++t == n)
-                t = 0;
-        }
-        dispatchRr_ = dispatchRr_ + 1 == n ? 0 : dispatchRr_ + 1;
-    }
-}
+const SrcProbe Core::effectfulProbes[2] = {SrcProbe::Effectful,
+                                           SrcProbe::Effectful};
 
 unsigned
-Core::stepCycle(Cycle now, const SrcProbe *probes)
+Core::tick(Cycle now, const SrcProbe *probes)
 {
-    // Exact mirror of tick() — same state transitions, same counters,
-    // same call order — minus tick()'s per-cycle heap allocations and
-    // minus source calls a None/Pure probe proves side-effect free.
-    // tests/test_pipeline.cc holds the two paths bit-identical.
+    // With all-Effectful probes every source call is made exactly as
+    // the cycle-by-cycle reference makes it; a None/Pure probe only
+    // skips calls whose outcome is known and side-effect free.
     ++cycles_;
     unsigned n = unsigned(threads_.size());
     if (n == 0)
         return 0;
 
+    // Per-cycle condition accounting (before any state changes).
     for (unsigned i = 0; i < n; ++i) {
         HwThread &t = threads_[i];
         if (t.rob.size() >= robCapacity())
@@ -374,6 +319,9 @@ Core::stepCycle(Cycle now, const SrcProbe *probes)
         }
     }
 
+    // Commit: up to `width` slots shared round-robin across threads.
+    // A thread whose head is not ready (or is refused by its sink)
+    // yields its slots to the other thread.
     unsigned activity = 0;
     {
         unsigned budget = params_.width;
@@ -394,6 +342,7 @@ Core::stepCycle(Cycle now, const SrcProbe *probes)
         commitRr_ = commitRr_ + 1 == n ? 0 : commitRr_ + 1;
     }
 
+    // Dispatch: same slot-by-slot sharing.
     {
         unsigned budget = params_.width;
         std::array<bool, 2> open{true, n > 1};

@@ -139,12 +139,12 @@ class RunGrainThread
 };
 
 /**
- * What the pipeline driver knows about one hardware thread's
- * instruction source for the current cycle (system/pipeline.hh). The
- * batched engine uses this to elide InstSource::available() calls whose
- * outcome is already known — legal only because the elided call would
- * have been side-effect free — and to predict thread activity across a
- * fast-forwarded span.
+ * What the caller of Core::tick() knows about one hardware thread's
+ * instruction source for the current cycle. The per-cycle driver
+ * (system/pipeline.hh) uses this to elide InstSource::available() calls
+ * whose outcome is already known — legal only because the elided call
+ * would have been side-effect free — and to predict thread activity
+ * across a fast-forwarded span.
  */
 enum class SrcProbe : std::uint8_t
 {
@@ -175,22 +175,21 @@ class Core
      */
     unsigned addThread(InstSource *src, CommitSink *sink);
 
-    /** Advance one cycle. */
-    void tick(Cycle now);
+    /** All-Effectful probes for both hardware threads: tick()'s
+     *  default, the cycle-by-cycle reference call pattern. */
+    static const SrcProbe effectfulProbes[2];
 
     /**
-     * Batched-engine cycle step (system/pipeline.hh): performs exactly
-     * the state transitions and accounting of tick(), but without
-     * tick()'s per-cycle heap allocations, and with the per-thread
-     * source probes of @p probes (probes[t] for hardware thread t)
-     * eliding InstSource::available() calls whose outcome the driver
-     * already knows. With SrcProbe::Effectful for every thread the call
-     * pattern is identical to tick(); with None/Pure it differs only in
-     * skipped calls that would have been side-effect free.
+     * Advance one cycle. @p probes[t] says what is known about hardware
+     * thread t's source this cycle: with SrcProbe::Effectful (the
+     * default) every InstSource::available() call is made exactly as
+     * the reference model makes it; None/Pure skip only calls that
+     * would have been side-effect free, so the state transitions and
+     * counters are identical either way. Allocation-free.
      * @return the number of commits plus dispatches performed (0 means
      *         this cycle changed nothing but per-cycle counters).
      */
-    unsigned stepCycle(Cycle now, const SrcProbe *probes);
+    unsigned tick(Cycle now, const SrcProbe *probes = effectfulProbes);
 
     /**
      * Earliest cycle >= @p now at which ticking this core could do more
@@ -272,8 +271,7 @@ class Core
 
     unsigned robCapacity() const;
     bool tryCommitOne(HwThread &t, Cycle now);
-    bool tryDispatchOne(HwThread &t, Cycle now,
-                        SrcProbe probe = SrcProbe::Effectful);
+    bool tryDispatchOne(HwThread &t, Cycle now, SrcProbe probe);
     /** Timing computation for the just-claimed ROB entry @p e (its
      *  instruction is already in place). */
     void dispatchInst(HwThread &t, Cycle now, RobEntry &e);

@@ -73,7 +73,8 @@ checkKnobs(const WireSessionConfig &wc)
     if (wc.policy > 1)
         throw SessionReject(Reason::BadConfig,
                             "unknown scheduler policy value");
-    if (wc.engine > 2)
+    if (wc.engine != std::uint8_t(Engine::PerCycle) &&
+        wc.engine != std::uint8_t(Engine::RunGrain))
         throw SessionReject(Reason::BadConfig, "unknown engine value");
     if (wc.sliceTicks != 0 &&
         (wc.sliceTicks < 16 || wc.sliceTicks > (1u << 20)))

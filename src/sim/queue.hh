@@ -141,7 +141,7 @@ class BoundedQueue
     /**
      * Remove up to @p n front entries, discarding them. Equivalent to
      * (and accounted exactly as) min(n, size()) pop() calls; pops never
-     * sample the occupancy histogram. Used by the batched engine to
+     * sample the occupancy histogram. Used by the per-cycle driver to
      * drain a queue across a fast-forwarded span in one call.
      * @return the number of entries removed.
      */

@@ -67,10 +67,7 @@ struct MultiCoreConfig
     SchedulerConfig scheduler;
     /**
      * Intra-shard execution engine, applied to every shard (overrides
-     * shard.engine). Engine::Batched runs each shard's slice through
-     * the run-to-stall pipeline driver; results are bit-identical to
-     * Engine::PerCycle (tests/test_pipeline.cc), only wall clock
-     * changes.
+     * shard.engine).
      */
     Engine engine = Engine::PerCycle;
     /**
@@ -308,7 +305,7 @@ BenchProfile shardWorkload(const std::vector<BenchProfile> &workloads,
  * so flat fingerprints stay comparable across the refactor. Two runs
  * are bit-identical iff their fingerprints compare equal; the
  * scheduler/topology tests and the fig12 harness use this to assert
- * ParallelBatched == Lockstep and batched == per-cycle on every shape.
+ * ParallelBatched == Lockstep on every shape.
  */
 std::vector<std::uint64_t> resultFingerprint(MultiCoreSystem &sys,
                                              const MultiCoreResult &r);

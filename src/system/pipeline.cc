@@ -18,7 +18,8 @@ PipelineDriver::PipelineDriver(MonitoringSystem &sys)
       mproc_(sys.mproc_.get()),
       monOnApp_(sys.mproc_ && !sys.monCore_),
       monReadsEq_(!sys.cfg_.accelerated),
-      perfect_(sys.cfg_.perfectConsumer)
+      perfect_(sys.cfg_.perfectConsumer),
+      appProbe_(sys.replay_ ? SrcProbe::Effectful : SrcProbe::Pure)
 {
 }
 
@@ -100,10 +101,9 @@ PipelineDriver::runUntil(std::uint64_t maxCycles,
 {
     Cycle start = sys_.now_;
     Cycle end = start + maxCycles;
-    // The application thread's trace generator is always available and
-    // side-effect free to probe; the monitor thread's probe is
-    // refreshed every cycle.
-    SrcProbe appProbes[2] = {SrcProbe::Pure, SrcProbe::None};
+    // The application thread's probe is fixed for the source (see
+    // appProbe_); the monitor thread's probe is refreshed every cycle.
+    SrcProbe appProbes[2] = {appProbe_, SrcProbe::None};
     SrcProbe monProbes[2] = {SrcProbe::Pure, SrcProbe::None};
     // Whether the previous fused cycle performed any commit/dispatch;
     // a jump can only become possible after a do-nothing cycle.
@@ -124,14 +124,14 @@ PipelineDriver::runUntil(std::uint64_t maxCycles,
         if (quiet && tryJump(end, appProbes, monProbes))
             continue;
 
-        // Fused step: exactly tickAll()'s component order.
+        // Fused step: exactly tickOnce()'s component order.
         Cycle now = sys_.now_;
-        unsigned act = appCore_->stepCycle(now, appProbes);
+        unsigned act = appCore_->tick(now, appProbes);
         if (fades_)
             fades_->tick(now);
         if (monCore_) {
             monProbes[0] = monProbe();
-            act += monCore_->stepCycle(now, monProbes);
+            act += monCore_->tick(now, monProbes);
         }
         if (perfect_ && !eq_->empty()) {
             eq_->pop();

@@ -1,19 +1,18 @@
 /**
  * @file
- * Run-to-stall batched pipeline engine for one shard.
+ * The per-cycle engine's driver for one shard (Engine::PerCycle).
  *
- * The per-cycle reference engine (MonitoringSystem::tickOnce) walks
+ * The cycle-by-cycle reference (MonitoringSystem::tickOnce) walks
  * core -> event queue -> FADE -> unfiltered event queue -> MD cache ->
  * monitor every cycle, even when most components are idle or the whole
  * shard is waiting out a long memory latency. This driver advances the
  * same components through the same cycles with the same semantics, but
  * in two cheaper ways:
  *
- *  - Active cycles run through a fused step (Core::stepCycle +
- *    Fade::tick in the exact tickOnce() order) that eliminates the
- *    reference path's per-cycle heap allocations and elides source
- *    calls whose outcome is already known to be side-effect free
- *    (SrcProbe).
+ *  - Active cycles run through a fused step (Core::tick + Fade::tick in
+ *    the exact tickOnce() order) whose source probes (SrcProbe) elide
+ *    InstSource::available() calls whose outcome is already known to
+ *    be side-effect free.
  *
  *  - Frozen spans — every component stalled with provably constant
  *    inputs (ROB head waiting on a cache miss, FADE waiting on an
@@ -26,11 +25,12 @@
  * Because every fused step performs the reference transition for its
  * cycle and every jump is taken only when the reference ticks of the
  * span are proven to change nothing but the batch-applied counters,
- * the engine is bit-identical to per-cycle execution — same cycle
- * counts, same statistics, same RNG/functional state — for every
+ * advance() is bit-identical to a tickOnce() loop — same cycle counts,
+ * same statistics, same RNG/functional state — for every
  * configuration. docs/ARCHITECTURE.md gives the stall-condition table
- * and the equality argument; tests/test_pipeline.cc enforces it across
- * the full profile x monitor x shard-count x policy matrix.
+ * and the equality argument; tests/test_pipeline.cc pins the engine to
+ * goldens and to tickOnce() across the profile x monitor x shard-count
+ * x policy matrix.
  */
 
 #ifndef FADE_SYSTEM_PIPELINE_HH
@@ -56,11 +56,12 @@ struct PipelineDriverStats
 };
 
 /**
- * Drives one MonitoringSystem in run-to-stall batches. Owned by the
- * system when SystemConfig::engine == Engine::Batched; stateless
- * between calls except for cached component pointers, so it composes
- * with the shard scheduler's bounded slices exactly like the per-cycle
- * loop (a slice boundary is just a cycle limit).
+ * Drives one MonitoringSystem through fused steps and frozen-span
+ * jumps. Owned by the system when SystemConfig::engine ==
+ * Engine::PerCycle; stateless between calls except for cached
+ * component pointers, so it composes with the shard scheduler's
+ * bounded slices exactly like a tickOnce() loop (a slice boundary is
+ * just a cycle limit).
  */
 class PipelineDriver
 {
@@ -105,6 +106,12 @@ class PipelineDriver
      *  its source may never be probed away. */
     bool monReadsEq_;
     bool perfect_;
+    /** Probe of the application thread's source: Pure for the endless
+     *  generator and threaded sources (available() is constantly true
+     *  and side-effect free), Effectful for a finite replay stream,
+     *  whose available() turns false mid-cycle once the last record is
+     *  fetched. */
+    SrcProbe appProbe_;
     PipelineDriverStats stats_;
 };
 

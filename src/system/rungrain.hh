@@ -2,12 +2,11 @@
  * @file
  * Run-grain engine for one shard (Engine::RunGrain).
  *
- * The per-cycle reference engine and the batched engine both advance
- * every component cycle by cycle (the batched engine merely skips
- * provably frozen spans). This driver abandons per-cycle stepping
- * altogether: it processes the shard *eagerly and serially* — fetch an
- * application instruction, extract its event, filter it, run its
- * handler to completion, repeat — while computing all timing with
+ * The per-cycle engine advances every component cycle by cycle (it
+ * merely skips provably frozen spans). This driver abandons per-cycle
+ * stepping altogether: it processes the shard *eagerly and serially* —
+ * fetch an application instruction, extract its event, filter it, run
+ * its handler to completion, repeat — while computing all timing with
  * closed-form recurrences over whole instruction runs
  * (cpu/core.hh:RunGrainThread) and a stage-time algebra for the FADE
  * pipeline. One instruction costs O(1) host work regardless of how

@@ -153,10 +153,10 @@ MonitoringSystem::MonitoringSystem(const SystemConfig &cfg,
             appCore_->addThread(mproc_.get(), mproc_.get());
     }
 
-    if (cfg_.engine == Engine::Batched)
-        driver_ = std::make_unique<PipelineDriver>(*this);
-    else if (cfg_.engine == Engine::RunGrain)
+    if (cfg_.engine == Engine::RunGrain)
         rg_ = std::make_unique<RunGrainDriver>(*this);
+    else
+        driver_ = std::make_unique<PipelineDriver>(*this);
 }
 
 const char *
@@ -165,8 +165,6 @@ engineName(Engine e)
     switch (e) {
       case Engine::PerCycle:
         return "percycle";
-      case Engine::Batched:
-        return "batched";
       case Engine::RunGrain:
         return "rungrain";
     }
@@ -178,12 +176,10 @@ parseEngine(const std::string &name)
 {
     if (name == "percycle")
         return Engine::PerCycle;
-    if (name == "batched")
-        return Engine::Batched;
     if (name == "rungrain")
         return Engine::RunGrain;
     fatal("unknown engine '", name,
-          "' (expected percycle, batched or rungrain)");
+          "' (expected percycle or rungrain)");
 }
 
 MonitoringSystem::~MonitoringSystem() = default;
@@ -203,7 +199,7 @@ MonitoringSystem::flushCapture()
 }
 
 void
-MonitoringSystem::tickAll()
+MonitoringSystem::tickOnce()
 {
     appCore_->tick(now_);
     if (fades_)
@@ -215,12 +211,6 @@ MonitoringSystem::tickAll()
         ++perfectConsumed_;
     }
     ++now_;
-}
-
-void
-MonitoringSystem::tickOnce()
-{
-    tickAll();
 }
 
 void
@@ -241,7 +231,7 @@ MonitoringSystem::drain()
         return true;
     };
     while (!quiet() && now_ < limit)
-        tickAll();
+        tickOnce();
     producer_->pause(false);
     panic_if(!quiet(), "monitoring system failed to drain");
 }
@@ -369,13 +359,7 @@ MonitoringSystem::advance(std::uint64_t maxCycles,
 {
     if (rg_)
         return rg_->runUntil(maxCycles, targetRetired);
-    if (driver_)
-        return driver_->runUntil(maxCycles, targetRetired);
-    Cycle start = now_;
-    Cycle end = now_ + maxCycles;
-    while (now_ < end && producer_->retired() < targetRetired)
-        tickAll();
-    return now_ - start;
+    return driver_->runUntil(maxCycles, targetRetired);
 }
 
 void

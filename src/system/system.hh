@@ -47,34 +47,30 @@ class TraceReader;
 class TraceWriter;
 
 /**
- * Intra-shard execution engine. PerCycle and Batched produce
- * bit-identical statistics (tests/test_pipeline.cc) and differ only in
- * wall-clock cost. RunGrain additionally replaces per-cycle timing with
- * closed-form recurrences between monitor-visible events: it preserves
- * every functional result bit for bit (instruction stream, event
- * stream, filter verdicts, handler counts, bug reports — the
- * functionalFingerprint() subset) but models timing counters with its
- * own deterministic equations (docs/ARCHITECTURE.md, "Run-grain
- * engine").
+ * Intra-shard execution engine. PerCycle is the cycle-exact model;
+ * RunGrain replaces per-cycle timing with closed-form recurrences
+ * between monitor-visible events: it preserves every functional result
+ * bit for bit (instruction stream, event stream, filter verdicts,
+ * handler counts, bug reports — the functionalFingerprint() subset) but
+ * models timing counters with its own deterministic equations
+ * (docs/ARCHITECTURE.md, "Run-grain engine"). The values are the
+ * daemon's wire encoding; 1 is unused.
  */
 enum class Engine : std::uint8_t
 {
-    /** Reference semantics: every component ticks every cycle
-     *  (tickOnce()). */
-    PerCycle,
-    /** Run-to-stall batched engine: the pipeline driver
-     *  (system/pipeline.hh) steps components through active cycles
-     *  with allocation-free fused stepping and fast-forwards provably
-     *  frozen spans with exact batch accounting. */
-    Batched,
+    /** Cycle-exact engine: the pipeline driver (system/pipeline.hh)
+     *  steps components through active cycles and fast-forwards
+     *  provably frozen spans with exact batch accounting — bit-identical
+     *  to ticking every component every cycle (tickOnce()). */
+    PerCycle = 0,
     /** Run-grain engine (system/rungrain.hh): closed-form dispatch /
      *  commit / filter-pipeline timing between monitor-visible events;
      *  functional results identical to PerCycle, timing counters
      *  modeled (deterministic, pinned by their own goldens). */
-    RunGrain,
+    RunGrain = 2,
 };
 
-/** Printable engine name ("percycle", "batched", "rungrain"). */
+/** Printable engine name ("percycle", "rungrain"). */
 const char *engineName(Engine e);
 
 /** Parse an engine name as printed by engineName(); fatal on junk. */
@@ -199,13 +195,13 @@ class MonitoringSystem
     /**
      * Externally driven slice protocol (used by the shard scheduler,
      * which drives shards in bounded slices): beginSlice() zeroes
-     * statistics and marks the slice start; the driver then ticks via
-     * tickOnce() until retired() reaches its target; endSlice()
+     * statistics and marks the slice start; the driver then calls
+     * advance() until retired() reaches its target; endSlice()
      * collects the results exactly as run() does. run() itself is
      * implemented on top of these.
      *
      * Thread-safety contract: a system instance is single-threaded.
-     * The parallel scheduler may call tickOnce() from a worker thread
+     * The parallel scheduler may call advance() from a worker thread
      * because each shard is self-contained except for the shared L2,
      * which it reaches through a SliceL2View (see setL2Port); the L2
      * itself is only mutated at slice barriers. beginSlice(),
@@ -285,7 +281,7 @@ class MonitoringSystem
     const MonitorProcess *monitorProcess() const { return mproc_.get(); }
     Cycle now() const { return now_; }
 
-    /** The run-to-stall driver, or nullptr under Engine::PerCycle
+    /** The per-cycle driver, or nullptr under Engine::RunGrain
      *  (host-side accounting; include system/pipeline.hh to use). */
     const PipelineDriver *pipelineDriver() const { return driver_.get(); }
 
@@ -293,15 +289,16 @@ class MonitoringSystem
      *  (include system/rungrain.hh to use). */
     const RunGrainDriver *runGrainDriver() const { return rg_.get(); }
 
-    /** Advance the whole system by one cycle (tests). */
+    /** Advance the whole system by one cycle, ticking every component
+     *  (the cycle-by-cycle reference for tests; drain() uses it too). */
     void tickOnce();
 
     /**
      * Advance by at most @p maxCycles cycles, stopping as soon as
      * @p targetRetired app instructions have retired since the last
-     * statistics reset — through the configured engine: the per-cycle
-     * reference loop, or the run-to-stall pipeline driver. Both stop at
-     * exactly the same cycle with exactly the same machine state.
+     * statistics reset — through the configured engine. Under
+     * Engine::PerCycle this stops at exactly the cycle, with exactly
+     * the machine state, a tickOnce() loop with the same bounds would.
      * Used by run()/warmup() and by the shard scheduler's bounded
      * slices (ShardRunner::runSlice).
      * @return the number of simulated cycles consumed.
@@ -313,7 +310,6 @@ class MonitoringSystem
     friend class PipelineDriver;
     friend class RunGrainDriver;
 
-    void tickAll();
     /** Tick until @p instructions more retire (shared by warmup/run). */
     void runUntilRetired(std::uint64_t instructions, const char *what);
 
@@ -343,7 +339,7 @@ class MonitoringSystem
     std::unique_ptr<Core> appCore_; ///< also the single shared core
     std::unique_ptr<Core> monCore_; ///< two-core config only
 
-    /** Run-to-stall driver (Engine::Batched only). */
+    /** Per-cycle driver (Engine::PerCycle only). */
     std::unique_ptr<PipelineDriver> driver_;
     /** Run-grain driver (Engine::RunGrain only). */
     std::unique_ptr<RunGrainDriver> rg_;

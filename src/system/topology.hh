@@ -71,8 +71,8 @@ struct Topology
 constexpr unsigned maxFadesPerShard = 8;
 
 /**
- * Aggregate stall assessment of a FadeGroup at one cycle (batched
- * engine). Inert (`active == false`) only when steering provably does
+ * Aggregate stall assessment of a FadeGroup at one cycle (per-cycle
+ * driver). Inert (`active == false`) only when steering provably does
  * nothing and every unit's own profile is inert; `units[i]` then holds
  * unit i's profile for batch-applying the skipped cycles' counters.
  */

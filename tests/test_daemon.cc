@@ -83,9 +83,9 @@ differentialMatrix()
     std::vector<WireSessionConfig> m;
     m.push_back(liveConfig("MemLeak", "bzip"));
     m.push_back(liveConfig("AddrCheck", "mcf", 2, 1, 0));
-    m.push_back(liveConfig("MemLeak", "gcc", 2, 0, 1, 2));
+    m.push_back(liveConfig("MemLeak", "gcc", 2, 0, 0, 2));
     m.push_back(liveConfig("TaintCheck", "astar", 1, 0, 0));
-    m.push_back(liveConfig("AtomCheck", "ocean", 2, 1, 1));
+    m.push_back(liveConfig("AtomCheck", "ocean", 2, 1, 2));
     m.push_back(liveConfig("RaceCheck", "ocean-mt", 2, 1, 0));
     m.push_back(liveConfig("SharedTaint", "streamcluster-mt", 4, 0, 0));
     m.push_back(liveConfig("MemLeak", "bzip", 1, 0, 2));
@@ -219,7 +219,7 @@ TEST(DaemonDifferential, RepeatedRunsAreDeterministic)
     Faded daemon(cfg);
     daemon.start();
 
-    WireSessionConfig wc = liveConfig("AddrCheck", "mcf", 2, 1, 1);
+    WireSessionConfig wc = liveConfig("AddrCheck", "mcf", 2, 1, 0);
     SessionOutcome a = runSession(sock.path(), wc);
     SessionOutcome b = runSession(sock.path(), wc);
     ASSERT_TRUE(a.ok);
@@ -585,6 +585,29 @@ TEST(DaemonFuzz, BadConfigsGetTypedRejections)
         EXPECT_EQ(rej->reason, c.reason) << c.what;
         client.close();
     }
+
+    expectDaemonServes(sock.path());
+    daemon.stop();
+}
+
+TEST(DaemonFuzz, RetiredEngineByteRejectedThenServes)
+{
+    // Engine byte 1 is not an engine: the config is rejected with a
+    // typed BadConfig before any simulator exists, and the same daemon
+    // then serves a follow-up session normally.
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+
+    WireSessionConfig wc = liveConfig("MemLeak", "bzip");
+    wc.engine = 1;
+    SessionOutcome bad = runSession(sock.path(), wc);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.error.reason, Reason::BadConfig);
+    EXPECT_NE(bad.error.message.find("engine"), std::string::npos)
+        << bad.error.message;
 
     expectDaemonServes(sock.path());
     daemon.stop();

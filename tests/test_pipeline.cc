@@ -1,14 +1,20 @@
 /**
  * @file
- * Engine-equality tests.
+ * Engine tests.
  *
- * Run-to-stall batched engine (Engine::Batched, system/pipeline.hh):
- * must produce bit-identical results to the per-cycle reference engine
- * for every configuration — the acceptance contract of the engine.
- * Fingerprints come from resultFingerprint(), which flattens every
- * simulated value a run produces (aggregate + per-shard results, all
- * FADE counters, occupancy histograms, bug reports, shared-L2
- * counters).
+ * Per-cycle engine (Engine::PerCycle, system/pipeline.hh): advance()
+ * runs fused steps and skips provably frozen spans, and must produce
+ * bit-identical results to ticking every component every cycle
+ * (MonitoringSystem::tickOnce) for every configuration. Two references
+ * pin it:
+ *
+ *  - goldens: FNV-1a hashes (fingerprintHash) of resultFingerprint(),
+ *    which flattens every simulated value a run produces (aggregate +
+ *    per-shard results, all FADE counters, occupancy histograms, bug
+ *    reports, shared-L2 counters), captured from the engine that
+ *    ticked every component every cycle, for every multi-core case;
+ *  - for single-shard systems, a tickOnce() loop run side by side, and
+ *    chunked advance() calls whose cycle limits end mid-burst.
  *
  * Run-grain engine (Engine::RunGrain, system/rungrain.hh): timing is
  * modeled in closed form, so its cycle counts diverge from the
@@ -27,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +43,7 @@
 #include "system/pipeline.hh"
 #include "system/rungrain.hh"
 #include "trace/profile.hh"
+#include "trace/tracefile.hh"
 
 namespace fade
 {
@@ -56,16 +64,13 @@ runOnce(MultiCoreConfig cfg, std::uint64_t warm = kWarm,
     return resultFingerprint(sys, r);
 }
 
-/** Fingerprints of the same configuration under both engines. */
+/** The per-cycle run of @p cfg must hash to its golden. */
 void
-expectEngineInvariant(const MultiCoreConfig &cfg, std::uint64_t warm = kWarm,
-                      std::uint64_t run = kRun)
+expectGolden(const MultiCoreConfig &cfg, std::uint64_t golden,
+             std::uint64_t warm = kWarm, std::uint64_t run = kRun)
 {
-    MultiCoreConfig per = cfg;
-    per.engine = Engine::PerCycle;
-    MultiCoreConfig bat = cfg;
-    bat.engine = Engine::Batched;
-    EXPECT_EQ(runOnce(per, warm, run), runOnce(bat, warm, run));
+    std::uint64_t h = fingerprintHash(runOnce(cfg, warm, run));
+    EXPECT_EQ(h, golden) << "actual hash 0x" << std::hex << h;
 }
 
 MultiCoreConfig
@@ -78,14 +83,124 @@ baseConfig(const std::string &anchor, unsigned shards = 1)
     return cfg;
 }
 
+/** How a single-shard system is driven through warmup and run. */
+enum class Drive
+{
+    /** warmup() / run(): the engine's advance() loop. */
+    Engine,
+    /** The same slices, one tickOnce() per cycle. */
+    TickOnce,
+    /** The same slices, as advance() calls with short, varying cycle
+     *  limits, so most calls end mid-burst or mid-jump. */
+    Chunked,
+};
+
+/** Retire @p n more app instructions the way @p how drives. */
+void
+driveRetired(MonitoringSystem &sys, std::uint64_t n, Drive how)
+{
+    static const std::uint64_t chunks[] = {1, 7, 37, 300};
+    std::uint64_t target = sys.retired() + n;
+    Cycle limit = sys.now() + sliceCycleLimit(n);
+    for (unsigned i = 0; sys.retired() < target; ++i) {
+        ASSERT_LT(sys.now(), limit) << "no progress (deadlock?)";
+        if (how == Drive::TickOnce)
+            sys.tickOnce();
+        else
+            sys.advance(chunks[i % 4], target);
+    }
+}
+
+/**
+ * Every simulated value of one single-shard experiment (warmup, then a
+ * measured slice): the RunResult, the clock, both queues' counters and
+ * occupancy histograms, all FADE counters, then — after drain() — the
+ * functional fingerprint with its monitor reports.
+ */
+std::vector<std::uint64_t>
+singleShardRun(const SystemConfig &cfg, const BenchProfile &prof,
+               const std::string &monitor, Drive how)
+{
+    std::unique_ptr<Monitor> mon;
+    if (!monitor.empty())
+        mon = makeMonitor(monitor);
+    MonitoringSystem sys(cfg, prof, mon.get());
+    RunResult r;
+    if (how == Drive::Engine) {
+        sys.warmup(kWarm);
+        r = sys.run(kRun);
+    } else {
+        driveRetired(sys, kWarm, how);
+        sys.drain();
+        sys.resetStats();
+        sys.beginSlice();
+        driveRetired(sys, kRun, how);
+        r = sys.endSlice();
+    }
+    std::vector<std::uint64_t> fp = {
+        r.appInstructions, r.cycles,        r.monitoredEvents,
+        r.appStallCycles,  r.monIdleCycles, r.handlerInstructions,
+        r.handlersRun,     sys.now(),
+    };
+    auto hist = [&fp](const Log2Histogram &h) {
+        fp.push_back(h.total());
+        fp.push_back(h.maxValue());
+        for (std::uint64_t b : h.buckets())
+            fp.push_back(b);
+    };
+    auto queue = [&](const auto &q) {
+        fp.insert(fp.end(), {q.pushes(), q.rejects(),
+                             std::uint64_t(q.size())});
+        hist(q.occupancy());
+    };
+    queue(sys.eventQueue());
+    queue(sys.unfilteredQueue());
+    const FadeStats f = sys.fadeStats();
+    fp.insert(fp.end(),
+              {f.stallUeqFull, f.stallBlocking, f.stallDrain,
+               f.stallFsqFull, f.busyCycles, f.idleCycles});
+    sys.drain();
+    std::vector<std::uint64_t> func = sys.functionalFingerprint();
+    fp.insert(fp.end(), func.begin(), func.end());
+    return fp;
+}
+
+/** advance() == tickOnce() == chunked advance() on one shard. */
+void
+expectMatchesTickOnce(const SystemConfig &cfg, const BenchProfile &prof,
+                      const std::string &monitor)
+{
+    std::vector<std::uint64_t> ref =
+        singleShardRun(cfg, prof, monitor, Drive::TickOnce);
+    EXPECT_EQ(singleShardRun(cfg, prof, monitor, Drive::Engine), ref);
+    EXPECT_EQ(singleShardRun(cfg, prof, monitor, Drive::Chunked), ref);
+}
+
 } // namespace
 
 TEST(PipelineEngine, BitIdenticalAcrossSpecProfiles)
 {
-    // Every SPEC profile, single shard: the engines agree bit for bit.
-    for (const std::string &b : specBenchmarks()) {
-        SCOPED_TRACE(b);
-        expectEngineInvariant(baseConfig(b));
+    // Every SPEC profile, single shard: the golden, and tickOnce().
+    const struct
+    {
+        const char *profile;
+        std::uint64_t hash;
+    } golden[] = {
+        {"astar", 0x5CAC5E98ACCE1736ULL},
+        {"bzip", 0xC1512E65AC843457ULL},
+        {"gcc", 0x74AF9B67A09837ECULL},
+        {"gobmk", 0x5D1A4F4E0AE7917EULL},
+        {"hmmer", 0x43C2AC3C3BB2DA52ULL},
+        {"libquantum", 0x0ACADCD44E5439DAULL},
+        {"mcf", 0x248AFE8749C25C1BULL},
+        {"omnetpp", 0x87D46FE33842BAE2ULL},
+    };
+    ASSERT_EQ(specBenchmarks().size(), sizeof(golden) / sizeof(golden[0]));
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.profile);
+        MultiCoreConfig cfg = baseConfig(g.profile);
+        expectGolden(cfg, g.hash);
+        expectMatchesTickOnce(cfg.shard, cfg.workloads[0], cfg.monitor);
     }
 }
 
@@ -93,40 +208,73 @@ TEST(PipelineEngine, BitIdenticalAcrossMonitors)
 {
     // Every lifeguard the factory knows, on two shards so cross-shard
     // L2 interference is in play as well.
-    for (const std::string &m : monitorNames()) {
-        SCOPED_TRACE(m);
+    const struct
+    {
+        const char *monitor;
+        std::uint64_t hash;
+    } golden[] = {
+        {"AddrCheck", 0xCAE50FFED6D47351ULL},
+        {"AtomCheck", 0xC89D12A73D7B32ADULL},
+        {"MemCheck", 0xB7EE6793178F3779ULL},
+        {"MemLeak", 0xFD53916C1ECB6616ULL},
+        {"RaceCheck", 0xD5C2EB06B5DE97F1ULL},
+        {"SharedTaint", 0xB1EDA544CBCF8C6BULL},
+        {"TaintCheck", 0xCDB2ED966D105CB9ULL},
+    };
+    ASSERT_EQ(monitorNames().size(), sizeof(golden) / sizeof(golden[0]));
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.monitor);
         MultiCoreConfig cfg = baseConfig("astar", 2);
-        cfg.monitor = m;
-        expectEngineInvariant(cfg);
+        cfg.monitor = g.monitor;
+        expectGolden(cfg, g.hash);
     }
 }
 
 TEST(PipelineEngine, BitIdenticalAcrossShardCountsAndPolicies)
 {
-    // N in {1, 2, 4, 8} under both scheduler policies. hostThreads
-    // forces a real worker pool even on a single-CPU host.
-    for (unsigned n : {1u, 2u, 4u, 8u}) {
+    // N in {1, 2, 4, 8} under both scheduler policies: one golden per
+    // N. hostThreads forces a real worker pool even on a single-CPU
+    // host.
+    const struct
+    {
+        unsigned n;
+        std::uint64_t hash;
+    } golden[] = {
+        {1, 0x705C36337F1C829FULL},
+        {2, 0x6D8A7359B0605565ULL},
+        {4, 0xD613EF55993D0F90ULL},
+        {8, 0x4C19A9BA8BE35383ULL},
+    };
+    for (const auto &g : golden) {
         for (auto pol : {SchedulerPolicy::Lockstep,
                          SchedulerPolicy::ParallelBatched}) {
             SCOPED_TRACE(testing::Message()
-                         << "N=" << n << " policy=" << unsigned(pol));
-            MultiCoreConfig cfg = baseConfig("hmmer", n);
+                         << "N=" << g.n << " policy=" << unsigned(pol));
+            MultiCoreConfig cfg = baseConfig("hmmer", g.n);
             cfg.scheduler.policy = pol;
             cfg.scheduler.hostThreads = 4;
-            expectEngineInvariant(cfg, 3000, 6000);
+            expectGolden(cfg, g.hash, 3000, 6000);
         }
     }
 }
 
 TEST(PipelineEngine, BitIdenticalAcrossSliceSizes)
 {
-    // Slice boundaries land mid-burst at 256; the batched engine must
-    // stop at exactly the same cycle as the per-cycle loop every time.
-    for (std::uint64_t slice : {256ull, 4096ull}) {
-        SCOPED_TRACE(slice);
+    // Slice boundaries land mid-burst at 256; the engine must stop at
+    // exactly the cycle a tickOnce() loop would, every time.
+    const struct
+    {
+        std::uint64_t slice;
+        std::uint64_t hash;
+    } golden[] = {
+        {256, 0x12FB7A4F6D696813ULL},
+        {4096, 0x12FB7A4F6D696813ULL},
+    };
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.slice);
         MultiCoreConfig cfg = baseConfig("mcf", 2);
-        cfg.scheduler.sliceTicks = slice;
-        expectEngineInvariant(cfg);
+        cfg.scheduler.sliceTicks = g.slice;
+        expectGolden(cfg, g.hash);
     }
 }
 
@@ -138,99 +286,95 @@ TEST(PipelineEngine, BitIdenticalAcrossSystemVariants)
     {
         const char *name;
         void (*apply)(MultiCoreConfig &);
+        std::uint64_t hash;
     };
     const Variant variants[] = {
-        {"twoCore",
-         [](MultiCoreConfig &c) { c.shard.twoCore = true; }},
+        {"twoCore", [](MultiCoreConfig &c) { c.shard.twoCore = true; },
+         0xF6ED4818B8BF3993ULL},
         {"unaccelerated",
-         [](MultiCoreConfig &c) { c.shard.accelerated = false; }},
+         [](MultiCoreConfig &c) { c.shard.accelerated = false; },
+         0x71868B9D49D1CA54ULL},
         {"perfectConsumer",
          [](MultiCoreConfig &c) {
              c.shard.perfectConsumer = true;
              c.shard.eqCapacity = 0;
-         }},
+         },
+         0x3516B30E54A32460ULL},
         {"blockingFade",
-         [](MultiCoreConfig &c) { c.shard.fade.nonBlocking = false; }},
+         [](MultiCoreConfig &c) { c.shard.fade.nonBlocking = false; },
+         0x74AF9B67A09837ECULL},
         {"noDrainOnHighLevel",
          [](MultiCoreConfig &c) {
              c.shard.fade.drainOnHighLevel = false;
-         }},
+         },
+         0x26D8DA6BAB765640ULL},
         {"inOrderCore",
-         [](MultiCoreConfig &c) { c.shard.core = inOrderParams(); }},
+         [](MultiCoreConfig &c) { c.shard.core = inOrderParams(); },
+         0x674D2CF0A88114A0ULL},
         {"leanCoreTinyQueues",
          [](MultiCoreConfig &c) {
              c.shard.core = leanOooParams();
              c.shard.eqCapacity = 4;
              c.shard.ueqCapacity = 2;
-         }},
-        {"unmonitored", [](MultiCoreConfig &c) { c.monitor = ""; }},
+         },
+         0x86FBECD63BC36CF9ULL},
+        {"unmonitored", [](MultiCoreConfig &c) { c.monitor = ""; },
+         0xECF436B9FA501F3CULL},
     };
     for (const Variant &v : variants) {
         SCOPED_TRACE(v.name);
         MultiCoreConfig cfg = baseConfig("gcc");
         v.apply(cfg);
-        expectEngineInvariant(cfg);
+        expectGolden(cfg, v.hash);
+        expectMatchesTickOnce(cfg.shard, cfg.workloads[0], cfg.monitor);
     }
 }
 
 TEST(PipelineEngine, LegacySingleCoreRunMatchesPerCycle)
 {
     // The engine also backs MonitoringSystem::run()/warmup() directly
-    // (no scheduler): same RunResult, same monitor verdicts.
+    // (no scheduler): the same values as ticking every cycle, with
+    // MemCheck's reports included.
     for (const char *prof : {"astar", "mcf"}) {
         SCOPED_TRACE(prof);
-        RunResult rr[2];
-        std::uint64_t reports[2];
-        std::uint64_t eqPushes[2];
-        for (int i = 0; i < 2; ++i) {
-            SystemConfig cfg;
-            cfg.engine = i ? Engine::Batched : Engine::PerCycle;
-            auto mon = makeMonitor("MemCheck");
-            MonitoringSystem sys(cfg, specProfile(prof), mon.get());
-            sys.warmup(kWarm);
-            rr[i] = sys.run(kRun);
-            reports[i] = mon->reports().size();
-            eqPushes[i] = sys.eventQueue().pushes();
-        }
-        EXPECT_EQ(rr[0].cycles, rr[1].cycles);
-        EXPECT_EQ(rr[0].appInstructions, rr[1].appInstructions);
-        EXPECT_EQ(rr[0].monitoredEvents, rr[1].monitoredEvents);
-        EXPECT_EQ(rr[0].appStallCycles, rr[1].appStallCycles);
-        EXPECT_EQ(rr[0].monIdleCycles, rr[1].monIdleCycles);
-        EXPECT_EQ(rr[0].handlerInstructions, rr[1].handlerInstructions);
-        EXPECT_EQ(rr[0].handlersRun, rr[1].handlersRun);
-        EXPECT_EQ(reports[0], reports[1]);
-        EXPECT_EQ(eqPushes[0], eqPushes[1]);
+        expectMatchesTickOnce(SystemConfig{}, specProfile(prof),
+                              "MemCheck");
     }
 }
 
 TEST(PipelineEngine, DriverAccountingIsSane)
 {
-    SystemConfig cfg;
-    cfg.engine = Engine::Batched;
-    auto mon = makeMonitor("AddrCheck");
-    MonitoringSystem sys(cfg, specProfile("astar"), mon.get());
-    ASSERT_NE(sys.pipelineDriver(), nullptr);
-    sys.warmup(kWarm);
-    RunResult r = sys.run(kRun);
-    const PipelineDriverStats &ps = sys.pipelineDriver()->stats();
-    // Every simulated cycle is either fused-executed or skipped; drain
-    // cycles run outside the driver, so driver cycles are a lower
-    // bound of the elapsed clock and at least cover the measured run.
-    EXPECT_GE(ps.fusedCycles + ps.skippedCycles, r.cycles);
-    EXPECT_LE(ps.fusedCycles + ps.skippedCycles, sys.now());
-    EXPECT_GE(ps.skippedCycles, ps.jumps); // every jump skips >= 1
-    if (ps.jumps > 0) {
-        EXPECT_GT(ps.skippedCycles, 0u);
+    // The default system runs the per-cycle driver. On mcf + MemLeak
+    // (long memory stalls) it must also really skip: a source probe
+    // that silently turned every cycle Effectful would still be exact,
+    // but an empty ROB would then pin every idle cycle. Such a probe
+    // still finds a few jumps (full-ROB spans with a busy handler), so
+    // the skipped share is bounded too: it is ~64% of driven cycles
+    // with exact probes and ~3% with all-Effectful ones.
+    for (const char *prof : {"astar", "mcf"}) {
+        SCOPED_TRACE(prof);
+        const bool memoryBound = std::string(prof) == "mcf";
+        auto mon = makeMonitor(memoryBound ? "MemLeak" : "AddrCheck");
+        MonitoringSystem sys(SystemConfig{}, specProfile(prof),
+                             mon.get());
+        ASSERT_NE(sys.pipelineDriver(), nullptr);
+        EXPECT_EQ(sys.runGrainDriver(), nullptr);
+        sys.warmup(kWarm);
+        RunResult r = sys.run(kRun);
+        const PipelineDriverStats &ps = sys.pipelineDriver()->stats();
+        // Every simulated cycle is either fused-executed or skipped;
+        // drain cycles run outside the driver, so driver cycles are a
+        // lower bound of the elapsed clock and at least cover the
+        // measured run.
+        EXPECT_GE(ps.fusedCycles + ps.skippedCycles, r.cycles);
+        EXPECT_LE(ps.fusedCycles + ps.skippedCycles, sys.now());
+        EXPECT_GE(ps.skippedCycles, ps.jumps); // every jump skips >= 1
+        if (memoryBound) {
+            EXPECT_GT(ps.jumps, 0u);
+            EXPECT_GT(4 * ps.skippedCycles,
+                      ps.fusedCycles + ps.skippedCycles);
+        }
     }
-}
-
-TEST(PipelineEngine, PerCycleSystemHasNoDriver)
-{
-    SystemConfig cfg;
-    MonitoringSystem sys(cfg, specProfile("astar"), nullptr);
-    EXPECT_EQ(sys.pipelineDriver(), nullptr);
-    EXPECT_EQ(sys.runGrainDriver(), nullptr);
 }
 
 namespace

@@ -17,9 +17,10 @@
  *    in flight there would truncate logs differently per topology).
  *  - Across different shard counts only the REPORTS are comparable
  *    (they carry placement-invariant keys); timing fingerprints
- *    legitimately differ. Within one fixed shape the full result
- *    fingerprint must be bit-identical across scheduler policies and
- *    engines sharing the per-cycle timing model, and across repeats.
+ *    legitimately differ. Within one fixed shape the per-cycle full
+ *    result fingerprint must be bit-identical across scheduler
+ *    policies and repeats, and match a golden captured from the engine
+ *    that ticked every component every cycle.
  *  - The run-grain engine is in the detection matrix too: thread
  *    interleaving is retirement-quantum-driven, so the instruction
  *    streams — and with them the report unions — are engine-invariant
@@ -40,6 +41,7 @@
 #include "system/multicore.hh"
 #include "testutil.hh"
 #include "trace/threads.hh"
+#include "trace/tracefile.hh"
 
 namespace fade
 {
@@ -128,8 +130,7 @@ struct Shape
 constexpr Shape matrixShapes[] = {{1, 1}, {2, 1}, {4, 1}, {4, 2}};
 constexpr SchedulerPolicy matrixPolicies[] = {
     SchedulerPolicy::Lockstep, SchedulerPolicy::ParallelBatched};
-constexpr Engine matrixEngines[] = {Engine::PerCycle, Engine::Batched,
-                                    Engine::RunGrain};
+constexpr Engine matrixEngines[] = {Engine::PerCycle, Engine::RunGrain};
 
 /** Run the full N x policy x engine x topology matrix and demand the
  *  report union matches the N=1 reference bit for bit everywhere. */
@@ -209,7 +210,7 @@ TEST(ThreadMatrix, MonitorsStayInTheirLane)
 TEST(ThreadMatrix, RepeatedRunsAreDeterministic)
 {
     const BenchProfile p = processProfile(3, 1);
-    for (Engine eng : {Engine::Batched, Engine::RunGrain}) {
+    for (Engine eng : matrixEngines) {
         const MultiCoreConfig cfg =
             processConfig(p, "RaceCheck", 4, 2,
                           SchedulerPolicy::ParallelBatched, eng);
@@ -222,17 +223,29 @@ TEST(ThreadMatrix, RepeatedRunsAreDeterministic)
 
 TEST(ThreadMatrix, PolicyAndEngineBitIdenticalPerShape)
 {
-    // Per-cycle and batched share one timing model, so their full
-    // fingerprints (cycle counts included) match the per-shape
-    // reference bit for bit under either scheduler policy. The
+    // The per-cycle full fingerprint (cycle counts included) matches
+    // the per-shape golden, captured from the engine that ticked every
+    // component every cycle, under either scheduler policy. The
     // run-grain engine models timing: its full fingerprint is pinned
     // against its own per-shape reference instead — still
     // policy-invariant — while its reports join the cross-engine
     // detection matrix above.
     const BenchProfile p = processProfile(2, 1);
-    for (const Shape &s : {Shape{2, 1}, Shape{4, 2}}) {
+    const struct
+    {
+        Shape shape;
+        std::uint64_t hash;
+    } golden[] = {
+        {{2, 1}, 0xD31CEAFD45516C2FULL},
+        {{4, 2}, 0xEF26A5AE6B619B94ULL},
+    };
+    for (const auto &g : golden) {
+        const Shape &s = g.shape;
         ProcessRun ref = runProcess(
             processConfig(p, "RaceCheck", s.shards, s.clusters), p);
+        EXPECT_EQ(fingerprintHash(ref.fingerprint), g.hash)
+            << "shards=" << s.shards << " actual hash 0x" << std::hex
+            << fingerprintHash(ref.fingerprint);
         ProcessRun grainRef = runProcess(
             processConfig(p, "RaceCheck", s.shards, s.clusters,
                           SchedulerPolicy::Lockstep, Engine::RunGrain),

@@ -1,9 +1,9 @@
 /**
  * @file
  * Clustered-topology tests: flat-case bit-identity against pre-refactor
- * golden fingerprints, cross-policy/engine/run determinism over the
- * clusters x fadesPerShard matrix, directory routing invariants,
- * rollup sums, and multi-FADE steering.
+ * golden fingerprints, cross-policy/run determinism over the
+ * clusters x fadesPerShard matrix against per-cycle goldens, directory
+ * routing invariants, rollup sums, and multi-FADE steering.
  */
 
 #include <gtest/gtest.h>
@@ -48,15 +48,13 @@ struct TopoRun
 TopoRun
 runTopology(unsigned shards, const char *monitor, const char *anchor,
             unsigned clusters, unsigned fadesPerShard,
-            SchedulerPolicy pol = SchedulerPolicy::Lockstep,
-            Engine eng = Engine::PerCycle)
+            SchedulerPolicy pol = SchedulerPolicy::Lockstep)
 {
     MultiCoreConfig cfg;
     cfg.numShards = shards;
     cfg.monitor = monitor;
     cfg.workloads = multiprogramWorkloads(anchor);
     cfg.scheduler.policy = pol;
-    cfg.engine = eng;
     cfg.topology.clusters = clusters;
     cfg.topology.fadesPerShard = fadesPerShard;
     MultiCoreSystem sys(cfg);
@@ -107,54 +105,63 @@ TEST(Topology, GoldenFlatFingerprints)
         const char *monitor;
         unsigned n;
         bool parallel;
-        bool batched;
         std::uint64_t hash;
     };
     const Golden golden[] = {
-        {"hmmer", "MemLeak", 1, false, false, 0xE78BB961937DC23FULL},
-        {"hmmer", "MemLeak", 2, false, false, 0x0F0E431480908B64ULL},
-        {"gcc", "AddrCheck", 4, true, true, 0x11390AE9F493BC00ULL},
-        {"mcf", "TaintCheck", 2, false, true, 0xC56DDA0D768F46D8ULL},
-        {"astar", "AddrCheck", 1, true, false, 0x1882ECA0818C5BB9ULL},
-        {"bzip", "MemCheck", 4, false, false, 0x6DA1301FB8A8DBB3ULL},
-        {"hmmer", "", 2, false, false, 0x10A23F27F9FF8C70ULL},
-        {"gobmk", "MemLeak", 8, true, true, 0x618FC551A025696CULL},
+        {"hmmer", "MemLeak", 1, false, 0xE78BB961937DC23FULL},
+        {"hmmer", "MemLeak", 2, false, 0x0F0E431480908B64ULL},
+        {"gcc", "AddrCheck", 4, true, 0x11390AE9F493BC00ULL},
+        {"mcf", "TaintCheck", 2, false, 0xC56DDA0D768F46D8ULL},
+        {"astar", "AddrCheck", 1, true, 0x1882ECA0818C5BB9ULL},
+        {"bzip", "MemCheck", 4, false, 0x6DA1301FB8A8DBB3ULL},
+        {"hmmer", "", 2, false, 0x10A23F27F9FF8C70ULL},
+        {"gobmk", "MemLeak", 8, true, 0x618FC551A025696CULL},
     };
     for (const Golden &g : golden) {
         SCOPED_TRACE(std::string(g.anchor) + "/" + g.monitor + "/N=" +
                      std::to_string(g.n));
-        TopoRun t = runTopology(
-            g.n, g.monitor, g.anchor, 1, 1,
-            g.parallel ? SchedulerPolicy::ParallelBatched
-                       : SchedulerPolicy::Lockstep,
-            g.batched ? Engine::Batched : Engine::PerCycle);
+        TopoRun t = runTopology(g.n, g.monitor, g.anchor, 1, 1,
+                                g.parallel
+                                    ? SchedulerPolicy::ParallelBatched
+                                    : SchedulerPolicy::Lockstep);
         EXPECT_EQ(fnv1a(t.fingerprint), g.hash);
     }
 }
 
 TEST(Topology, DeterministicAcrossPoliciesEnginesAndRuns)
 {
-    // For every topology in the matrix, all four policy x engine
-    // combinations and a repeated run must agree bit for bit: the
-    // scheduler's and the batched engine's equality arguments extend
-    // to clustered, multi-FADE systems.
-    for (unsigned clusters : {1u, 2u, 4u}) {
-        for (unsigned k : {1u, 2u}) {
-            SCOPED_TRACE("clusters=" + std::to_string(clusters) +
-                         " fades=" + std::to_string(k));
-            TopoRun ref = runTopology(4, "MemLeak", "hmmer", clusters, k);
-            for (auto pol : {SchedulerPolicy::Lockstep,
-                             SchedulerPolicy::ParallelBatched}) {
-                for (Engine eng :
-                     {Engine::PerCycle, Engine::Batched}) {
-                    TopoRun t = runTopology(4, "MemLeak", "hmmer",
-                                            clusters, k, pol, eng);
-                    EXPECT_EQ(t.fingerprint, ref.fingerprint)
-                        << "policy=" << int(pol)
-                        << " engine=" << int(eng);
-                    EXPECT_EQ(t.reports, ref.reports);
-                }
-            }
+    // For every topology in the matrix, both policies and a repeated
+    // run must agree bit for bit with a golden captured from the
+    // engine that ticked every component every cycle: the scheduler's
+    // and the per-cycle driver's equality arguments extend to
+    // clustered, multi-FADE systems.
+    const struct
+    {
+        unsigned clusters, fades;
+        std::uint64_t hash;
+    } golden[] = {
+        {1, 1, 0x78D206AF4C989019ULL},
+        {1, 2, 0x3EE96BA1A6DE2167ULL},
+        {2, 1, 0x5687EA3F97BE494FULL},
+        {2, 2, 0xDE21D8B88C248533ULL},
+        {4, 1, 0xF504621D5E112EBEULL},
+        {4, 2, 0xD69D3CFA7D585653ULL},
+    };
+    for (const auto &g : golden) {
+        SCOPED_TRACE("clusters=" + std::to_string(g.clusters) +
+                     " fades=" + std::to_string(g.fades));
+        TopoRun ref =
+            runTopology(4, "MemLeak", "hmmer", g.clusters, g.fades);
+        EXPECT_EQ(fnv1a(ref.fingerprint), g.hash)
+            << "actual hash 0x" << std::hex
+            << fnv1a(ref.fingerprint);
+        for (auto pol : {SchedulerPolicy::Lockstep,
+                         SchedulerPolicy::ParallelBatched}) {
+            TopoRun t = runTopology(4, "MemLeak", "hmmer", g.clusters,
+                                    g.fades, pol);
+            EXPECT_EQ(t.fingerprint, ref.fingerprint)
+                << "policy=" << int(pol);
+            EXPECT_EQ(t.reports, ref.reports);
         }
     }
 }
@@ -315,18 +322,26 @@ TEST(Topology, MultiFadeHighLevelSerializationStaysSound)
 {
     // TaintCheck depends on taint-source bulk updates ordering against
     // subsequent filtering; MemLeak on malloc/free ordering. Both must
-    // run deterministically with two units and report identically
-    // across engines.
-    for (const char *mon : {"TaintCheck", "MemLeak"}) {
-        SCOPED_TRACE(mon);
-        TopoRun per = runTopology(2, mon, "mcf", 1, 2,
-                                  SchedulerPolicy::Lockstep,
-                                  Engine::PerCycle);
-        TopoRun bat = runTopology(2, mon, "mcf", 1, 2,
-                                  SchedulerPolicy::Lockstep,
-                                  Engine::Batched);
-        EXPECT_EQ(per.fingerprint, bat.fingerprint);
-        EXPECT_EQ(per.reports, bat.reports);
+    // run deterministically with two units, reproducing the goldens
+    // captured from the engine that ticked every component every
+    // cycle.
+    const struct
+    {
+        const char *monitor;
+        std::uint64_t hash;
+    } golden[] = {
+        {"TaintCheck", 0xAFA6A7250B446EF2ULL},
+        {"MemLeak", 0x8435490D28CF057DULL},
+    };
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.monitor);
+        TopoRun t = runTopology(2, g.monitor, "mcf", 1, 2);
+        EXPECT_EQ(fnv1a(t.fingerprint), g.hash)
+            << "actual hash 0x" << std::hex
+            << fnv1a(t.fingerprint);
+        TopoRun again = runTopology(2, g.monitor, "mcf", 1, 2);
+        EXPECT_EQ(again.fingerprint, t.fingerprint);
+        EXPECT_EQ(again.reports, t.reports);
     }
 }
 

@@ -4,7 +4,9 @@
  *
  * - ReplayMatrix: capture -> replay is bit-identical (result
  *   fingerprint hash) for every monitor, across shard counts, both
- *   scheduler policies, both engines, and flat vs clustered topology.
+ *   scheduler policies, and flat vs clustered topology; the captured
+ *   hashes are pinned to goldens from the engine that ticked every
+ *   component every cycle.
  * - CaptureDoesNotPerturb: teeing the generator through CaptureSource
  *   leaves the live run's full fingerprint vector untouched, and the
  *   captured bytes are policy-invariant.
@@ -115,30 +117,33 @@ replayHash(const std::string &path, SchedulerPolicy pol, Engine eng)
         drive(sys, m.warmupInstructions, m.measureInstructions));
 }
 
-/** Capture one monitor on three shapes; replay each under every
- *  policy x engine combination and demand the captured hash. */
+/** Capture one monitor on three shapes, demand the per-shape golden
+ *  hash, then replay each under both policies and demand it again. */
 void
-checkReplayMatrix(const char *monitor, const char *bench)
+checkReplayMatrix(const char *monitor, const char *bench,
+                  const std::uint64_t (&golden)[3])
 {
     struct Shape
     {
         unsigned shards, clusters, fades;
     };
     const Shape shapes[] = {{1, 1, 1}, {4, 1, 1}, {4, 2, 2}};
-    for (const Shape &s : shapes) {
+    for (int i = 0; i < 3; ++i) {
+        const Shape &s = shapes[i];
+        SCOPED_TRACE(testing::Message()
+                     << monitor << "/" << bench << " " << s.shards << "x"
+                     << s.clusters << "x" << s.fades);
         TempTrace t;
         std::uint64_t h =
             captureTo(t.path(),
                       matrixConfig(monitor, bench, s.shards, s.clusters,
                                    s.fades),
                       kWarm, kRun);
+        EXPECT_EQ(h, golden[i]) << "actual hash 0x" << std::hex << h;
         for (SchedulerPolicy pol : {SchedulerPolicy::Lockstep,
                                     SchedulerPolicy::ParallelBatched})
-            for (Engine eng : {Engine::PerCycle, Engine::Batched})
-                EXPECT_EQ(replayHash(t.path(), pol, eng), h)
-                    << monitor << "/" << bench << " " << s.shards << "x"
-                    << s.clusters << "x" << s.fades << " policy="
-                    << int(pol) << " engine=" << int(eng);
+            EXPECT_EQ(replayHash(t.path(), pol, Engine::PerCycle), h)
+                << "policy=" << int(pol);
     }
 }
 
@@ -270,32 +275,50 @@ readRejects(const std::string &path)
 
 TEST(ReplayMatrix, MemLeak)
 {
-    checkReplayMatrix("MemLeak", "bzip");
+    checkReplayMatrix("MemLeak", "bzip",
+                      {0x1AAD4BB5D2F4D7D9ULL,
+                       0x1EF5A5C5D5EE2C2AULL,
+                       0xDBB841AF1D57C8DEULL});
 }
 
 TEST(ReplayMatrix, AddrCheck)
 {
-    checkReplayMatrix("AddrCheck", "gcc");
+    checkReplayMatrix("AddrCheck", "gcc",
+                      {0xC99A3BE6AD108C52ULL,
+                       0xEFFD5B89CAE8B04DULL,
+                       0x74CAEDE05ACA80DEULL});
 }
 
 TEST(ReplayMatrix, MemCheck)
 {
-    checkReplayMatrix("MemCheck", "hmmer");
+    checkReplayMatrix("MemCheck", "hmmer",
+                      {0xB5D7232909F205D0ULL,
+                       0x5E0EAB6C2F3E6ADEULL,
+                       0xB6C3A71C0CB7EE29ULL});
 }
 
 TEST(ReplayMatrix, TaintCheck)
 {
-    checkReplayMatrix("TaintCheck", "mcf");
+    checkReplayMatrix("TaintCheck", "mcf",
+                      {0xD1523CB78A23C590ULL,
+                       0xFA5F16FD86A20906ULL,
+                       0xB0B668C6A4CBFA4CULL});
 }
 
 TEST(ReplayMatrix, AtomCheck)
 {
-    checkReplayMatrix("AtomCheck", "ocean");
+    checkReplayMatrix("AtomCheck", "ocean",
+                      {0x618C6B141D33A09EULL,
+                       0x2631B4A9FF44F2CDULL,
+                       0xCA79ED68B034E82EULL});
 }
 
 TEST(ReplayMatrix, UnmonitoredBaseline)
 {
-    checkReplayMatrix("", "astar");
+    checkReplayMatrix("", "astar",
+                      {0x2514D1B8DC44BD1BULL,
+                       0xE04249960422CDBCULL,
+                       0x18C272EC2E6B3D0DULL});
 }
 
 // ---------------------------------------------------------------------
@@ -705,11 +728,7 @@ TEST(RunGrainReplay, CapturedStreamsFunctionallyEngineInvariant)
     // runs out exactly at the quota, so per-cycle cannot overshoot
     // either), and every functional value — retirement/event counts,
     // filter verdicts, handler work, bug reports — must match bit for
-    // bit. The batched engine is excluded: its run-to-stall frontend
-    // demands fetch-ahead margin beyond the retirement target, which an
-    // exact-quota stream cannot supply (it is bit-identical to
-    // per-cycle on generated streams, so its coverage rides on the
-    // per-cycle leg).
+    // bit.
     struct Shape
     {
         unsigned shards, clusters, fades;
@@ -734,6 +753,50 @@ TEST(RunGrainReplay, CapturedStreamsFunctionallyEngineInvariant)
         EXPECT_EQ(replayFunctional(t.path(), Engine::RunGrain), live);
         EXPECT_EQ(replayFunctional(t.path(), Engine::PerCycle), live);
     }
+}
+
+TEST(RunGrainReplay, ExactQuotaStreamRunsToExhaustionUnderPerCycle)
+{
+    // An exact-quota stream whose length is not a multiple of the
+    // 4-wide core's dispatch group: the replay source runs dry in the
+    // middle of a dispatch cycle. The per-cycle driver must treat it
+    // as the finite source it is (never assume another instruction is
+    // fetchable), retire exactly the quota, and stop on exactly the
+    // cycle a tickOnce() loop stops on.
+    constexpr std::uint64_t kQuota = kWarm + kRun + 3;
+    static_assert(kQuota % 4 != 0, "quota must end mid dispatch group");
+    TempTrace t;
+    std::vector<std::uint64_t> live;
+    {
+        MultiCoreConfig cfg = matrixConfig("AddrCheck", "gcc", 1, 1, 1);
+        cfg.engine = Engine::RunGrain;
+        cfg.traceOut = t.path();
+        MultiCoreSystem sys(cfg);
+        sys.run(kQuota);
+        live = sys.functionalFingerprint();
+        sys.closeTrace(0);
+    }
+    ASSERT_EQ(live[0], kQuota); // slot 0: shard 0's retirement count
+
+    MultiCoreConfig cfg = replayConfig(t.path());
+    cfg.engine = Engine::PerCycle;
+    MultiCoreSystem engine(cfg);
+    engine.run(kQuota);
+    MonitoringSystem &e = engine.shard(0);
+    EXPECT_EQ(e.retired(), kQuota);
+
+    MultiCoreSystem ticked(cfg);
+    MonitoringSystem &r = ticked.shard(0);
+    r.beginSlice();
+    const Cycle limit = sliceCycleLimit(kQuota);
+    while (r.retired() < kQuota && r.now() < limit)
+        r.tickOnce();
+    r.endSlice();
+    EXPECT_EQ(r.retired(), kQuota);
+    EXPECT_EQ(e.now(), r.now());
+
+    EXPECT_EQ(engine.functionalFingerprint(), live);
+    EXPECT_EQ(ticked.functionalFingerprint(), live);
 }
 
 TEST(RunGrainReplay, GoldenCorpusReplaysDeterministically)
