@@ -342,6 +342,16 @@ TEST(PipelineEngine, LegacySingleCoreRunMatchesPerCycle)
     }
 }
 
+TEST(PipelineEngine, PerCycleSystemHasNoDriver)
+{
+    // A per-cycle system, monitored or not, builds no run-grain
+    // driver. The pipeline driver it does own is checked for sane
+    // accounting below.
+    SystemConfig cfg;
+    MonitoringSystem sys(cfg, specProfile("astar"), nullptr);
+    EXPECT_EQ(sys.runGrainDriver(), nullptr);
+}
+
 TEST(PipelineEngine, DriverAccountingIsSane)
 {
     // The default system runs the per-cycle driver. On mcf + MemLeak
