@@ -10,10 +10,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "monitor/factory.hh"
-#include "sim/table.hh"
-#include "system/system.hh"
-#include "trace/profile.hh"
+#include "bench/common.hh"
 
 using namespace fade;
 
@@ -89,19 +86,11 @@ main()
 {
     std::printf("== calibration overview ==\n");
     for (const auto &mon : monitorNames()) {
-        bool parallel = mon == "AtomCheck";
-        const auto &benches = parallel
-                                  ? parallelBenchmarks()
-                                  : (mon == "TaintCheck"
-                                         ? taintBenchmarks()
-                                         : specBenchmarks());
         TextTable t;
         t.header({"bench", "appIPC", "monIPC", "filter%", "unaccX",
                   "fadeX"});
-        for (const auto &b : benches) {
-            BenchProfile prof =
-                parallel ? parallelProfile(b) : specProfile(b);
-            Line ln = measure(mon, prof);
+        for (const auto &b : bench::benchmarksFor(mon)) {
+            Line ln = measure(mon, findProfile(mon, b).value());
             t.row({b, fmt("%.2f", ln.appIpc), fmt("%.2f", ln.monIpc),
                    fmtPct(ln.filtering), fmtX(ln.slowUnacc),
                    fmtX(ln.slowFade)});

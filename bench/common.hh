@@ -36,17 +36,6 @@ benchmarksFor(const std::string &monitor)
     return specBenchmarks();
 }
 
-inline BenchProfile
-profileFor(const std::string &monitor, const std::string &bench)
-{
-    // "-mt" names a multi-threaded process workload of the base
-    // benchmark (trace/profiles.cc): ocean-mt, streamcluster-mt, ...
-    if (bench.size() > 3 && bench.compare(bench.size() - 3, 3, "-mt") == 0)
-        return threadedProfile(bench.substr(0, bench.size() - 3));
-    return monitor == "AtomCheck" ? parallelProfile(bench)
-                                  : specProfile(bench);
-}
-
 /** Cycles for the unmonitored baseline (cached per profile+core). */
 inline std::uint64_t
 baselineCycles(const BenchProfile &prof, const CoreParams &core)

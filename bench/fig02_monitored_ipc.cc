@@ -47,7 +47,7 @@ main()
             double app = 0, monitored = 0;
             const auto &benches = benchmarksFor(mon);
             for (const auto &b : benches) {
-                Measured m = producerRun(mon, profileFor(mon, b));
+                Measured m = producerRun(mon, findProfile(mon, b).value());
                 app += m.run.appIpc;
                 monitored += m.run.monitoredIpc;
             }

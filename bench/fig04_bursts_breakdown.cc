@@ -34,7 +34,8 @@ main()
                 SystemConfig cfg;
                 cfg.accelerated = false;
                 auto m = makeMonitor(mon);
-                MonitoringSystem sys(cfg, profileFor(mon, b), m.get());
+                MonitoringSystem sys(cfg, findProfile(mon, b).value(),
+                                     m.get());
                 sys.warmup(warmupInsts);
                 sys.run(measureInsts);
                 const auto &s = sys.monitorProcess()->stats();
@@ -87,39 +88,24 @@ main()
            "(<=16-distance rule; paper: <= 16 for most pairs)");
     {
         TextTable t;
-        std::vector<std::string> hdr = {"monitor"};
         // Use the union of benchmark suites as columns.
-        for (const auto &b : specBenchmarks())
-            hdr.push_back(b);
-        for (const auto &b : parallelBenchmarks())
-            hdr.push_back(b);
+        std::vector<std::string> cols = specBenchmarks();
+        cols.insert(cols.end(), parallelBenchmarks().begin(),
+                    parallelBenchmarks().end());
+        std::vector<std::string> hdr = {"monitor"};
+        hdr.insert(hdr.end(), cols.begin(), cols.end());
         t.header(hdr);
         for (const auto &mon : monitorNames()) {
             std::vector<std::string> row = {mon};
             const auto &benches = benchmarksFor(mon);
-            for (const auto &b : specBenchmarks()) {
-                bool used = std::find(benches.begin(), benches.end(),
-                                      b) != benches.end();
-                if (!used) {
+            for (const auto &b : cols) {
+                if (std::find(benches.begin(), benches.end(), b) ==
+                    benches.end()) {
                     row.push_back("-");
                     continue;
                 }
                 SystemConfig cfg;
-                Measured m = measure(cfg, mon, specProfile(b));
-                double avg =
-                    m.fadeStats.unfBurst.total()
-                        ? double(m.fadeStats.unfDistance.total()) /
-                              m.fadeStats.unfBurst.total()
-                        : 0.0;
-                row.push_back(fmt("%.0f", avg));
-            }
-            for (const auto &b : parallelBenchmarks()) {
-                if (mon != "AtomCheck") {
-                    row.push_back("-");
-                    continue;
-                }
-                SystemConfig cfg;
-                Measured m = measure(cfg, mon, parallelProfile(b));
+                Measured m = measure(cfg, mon, findProfile(mon, b).value());
                 double avg =
                     m.fadeStats.unfBurst.total()
                         ? double(m.fadeStats.unfDistance.total()) /

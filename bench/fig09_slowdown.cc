@@ -34,7 +34,7 @@ main()
         std::vector<double> unacc, fadeX;
         const auto &benches = benchmarksFor(mon);
         for (const auto &b : benches) {
-            BenchProfile prof = profileFor(mon, b);
+            BenchProfile prof = findProfile(mon, b).value();
             SystemConfig cfgU;
             cfgU.accelerated = false;
             Measured mu = measure(cfgU, mon, prof);

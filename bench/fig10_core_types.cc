@@ -44,7 +44,7 @@ main()
                     cfg.core = cparams;
                     cfg.accelerated = accel;
                     Measured m =
-                        measure(cfg, mon, profileFor(mon, b),
+                        measure(cfg, mon, findProfile(mon, b).value(),
                                 measureInsts / 2);
                     xs.push_back(m.slowdown);
                 }

@@ -29,7 +29,7 @@ main()
         for (const auto &mon : paperMonitorNames()) {
             std::vector<double> sc, tc;
             for (const auto &b : benchmarksFor(mon)) {
-                BenchProfile prof = profileFor(mon, b);
+                BenchProfile prof = findProfile(mon, b).value();
                 SystemConfig cfgS;
                 Measured ms = measure(cfgS, mon, prof);
                 SystemConfig cfgT;
@@ -64,7 +64,8 @@ main()
                 SystemConfig cfg;
                 cfg.twoCore = true;
                 auto m = makeMonitor(mon);
-                MonitoringSystem sys(cfg, profileFor(mon, b), m.get());
+                MonitoringSystem sys(cfg, findProfile(mon, b).value(),
+                                     m.get());
                 sys.warmup(warmupInsts);
                 RunResult r = sys.run(measureInsts);
                 double ai = double(r.appStallCycles) / r.cycles;
@@ -102,7 +103,7 @@ main()
         for (const auto &mon : paperMonitorNames()) {
             std::vector<double> blk, nbk;
             for (const auto &b : benchmarksFor(mon)) {
-                BenchProfile prof = profileFor(mon, b);
+                BenchProfile prof = findProfile(mon, b).value();
                 SystemConfig cfgB;
                 cfgB.fade.nonBlocking = false;
                 Measured mb = measure(cfgB, mon, prof);

@@ -32,7 +32,7 @@ main()
         const auto &benches = benchmarksFor(mon);
         for (const auto &b : benches) {
             SystemConfig cfg;
-            Measured m = measure(cfg, mon, profileFor(mon, b));
+            Measured m = measure(cfg, mon, findProfile(mon, b).value());
             ratio += m.filtering;
             double n = double(m.fadeStats.instEvents);
             if (n > 0) {

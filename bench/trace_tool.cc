@@ -96,7 +96,9 @@ captureConfig(const Options &opt)
     cfg.topology.fadesPerShard = opt.fades;
     cfg.scheduler.policy = opt.policy;
     cfg.engine = opt.engine;
-    cfg.workloads = {profileFor(opt.monitor, opt.profile)};
+    auto prof = findProfile(opt.monitor, opt.profile);
+    fatal_if(!prof, "unknown benchmark profile: ", opt.profile);
+    cfg.workloads = {*prof};
     return cfg;
 }
 

@@ -7,12 +7,14 @@
  * bounded quanta under the session pool.
  *
  * Validation happens here, before any simulator object exists:
- * fatal()/panic() terminate the process by design, so every condition
- * the construction path would fatal on (unknown monitor or profile
- * names, shard/cluster divisibility, -mt process constraints, filter
- * unit bounds) is checked against client input first and surfaced as a
- * typed SessionReject instead. A config that passes sessionPlan()
- * cannot reach a fatal().
+ * fatal() terminates the process by design, so sessionPlan() runs the
+ * system's own validator (validateConfig(), system/multicore.hh) on
+ * the config it built and surfaces its message as a typed
+ * SessionReject. On top of that it enforces daemon policy only: wire
+ * value ranges, shard and instruction caps, the slice range, which
+ * fields a live or an upload session may set, and that the cross-shard
+ * monitors run on a -mt process workload. A plan that passes
+ * sessionPlan() builds without reaching a fatal().
  *
  * Isolation argument, step by step: a Session owns its entire
  * simulator (MultiCoreSystem, monitors, workload generators, trace
@@ -77,8 +79,9 @@ struct SessionPlan
  * uploaded .ftrace file when wc.upload is set (the manifest supplies
  * the instruction budget and system shape, with wc's policy/engine/
  * sliceTicks applied as result-invariant overrides). Throws
- * SessionReject (BadConfig or BadTrace) on anything invalid; never
- * reaches a fatal().
+ * SessionReject on anything invalid: BadConfig for a live config that
+ * breaks daemon policy or validateConfig(), BadTrace for an upload
+ * whose manifest does. Never reaches a fatal().
  */
 SessionPlan sessionPlan(const WireSessionConfig &wc,
                         const std::string &tracePath = "");

@@ -1,5 +1,8 @@
 #include "system/multicore.hh"
 
+#include <algorithm>
+
+#include "core/regfiles.hh"
 #include "monitor/factory.hh"
 #include "monitor/interleave.hh"
 #include "sim/logging.hh"
@@ -18,7 +21,7 @@ shardWorkload(const std::vector<BenchProfile> &workloads, unsigned idx)
     // process profiles are exempt from repeat decorrelation — the
     // per-thread filler RNGs already decorrelate the shards' private
     // streams.
-    if (p.procThreads > 0)
+    if (p.isProcess())
         return p;
     // Repeated profiles decorrelate via a per-shard seed offset —
     // whether the repeat comes from round-robin wraparound or from a
@@ -39,8 +42,80 @@ shardWorkload(const std::vector<BenchProfile> &workloads, unsigned idx)
     return p;
 }
 
+std::optional<std::string>
+validateConfig(const MultiCoreConfig &cfg)
+{
+    using log_detail::str;
+    if (cfg.workloads.empty())
+        return str("multi-core system needs >= 1 workload");
+    const std::vector<std::string> &mons = monitorNames();
+    if (!cfg.monitor.empty() &&
+        std::count(mons.begin(), mons.end(), cfg.monitor) == 0)
+        return str("unknown monitor: ", cfg.monitor);
+
+    // Topology, resolved in 64 bits so no shape wraps into range.
+    const Topology &t = cfg.topology;
+    if (t.clusters == 0)
+        return str("topology: clusters must be >= 1");
+    if (t.fadesPerShard == 0 || t.fadesPerShard > maxFadesPerShard)
+        return str("topology: fadesPerShard must be in [1, ",
+                   maxFadesPerShard, "]");
+    const std::uint64_t shards =
+        t.shardsPerCluster != 0
+            ? std::uint64_t(t.clusters) * t.shardsPerCluster
+            : cfg.numShards;
+    if (shards == 0)
+        return str("topology: numShards must be >= 1");
+    if (shards % t.clusters != 0)
+        return str("topology: numShards (", shards,
+                   ") must divide evenly across ", t.clusters,
+                   " clusters");
+    if (shards > 256)
+        return str("shard tag is 8 bits (max 256 shards)");
+    if (cfg.scheduler.sliceTicks == 0)
+        return str("sliceTicks must be >= 1");
+    if (cfg.shard.core.width == 0)
+        return str("core width must be positive");
+    if (cfg.shard.core.robSize == 0)
+        return str("ROB size must be positive");
+
+    // Every shard hosts threads of ONE process (thread t on shard
+    // t % shards); identical copies of its profile are that process.
+    const BenchProfile &proc = cfg.workloads.front();
+    for (const BenchProfile &p : cfg.workloads)
+        if (p.isProcess() != proc.isProcess() ||
+            (p.isProcess() &&
+             (p.procThreads != proc.procThreads || p.name != proc.name ||
+              p.seed != proc.seed)))
+            return str("a multi-threaded process profile cannot mix "
+                       "with other workloads");
+    if (proc.isProcess()) {
+        const unsigned threads = proc.procThreads;
+        if (shards > threads)
+            return str("more shards (", shards,
+                       ") than process threads (", threads, ")");
+        if (threads > maxThreads)
+            return str("process has ", threads,
+                       " threads but the MD register file supports ",
+                       unsigned(maxThreads));
+        if (threads % shards != 0)
+            return str("process threads (", threads,
+                       ") must divide evenly across shards (", shards,
+                       ")");
+    }
+    return std::nullopt;
+}
+
 namespace
 {
+
+const MultiCoreConfig &
+checked(const MultiCoreConfig &cfg)
+{
+    if (std::optional<std::string> err = validateConfig(cfg))
+        fatal(*err);
+    return cfg;
+}
 
 DirectoryParams
 directoryParams(const MultiCoreConfig &cfg)
@@ -56,12 +131,10 @@ directoryParams(const MultiCoreConfig &cfg)
 } // namespace
 
 MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
-    : cfg_(cfg), dir_(directoryParams(cfg))
+    : cfg_(checked(cfg)), dir_(directoryParams(cfg))
 {
-    // Resolve the cluster shape against numShards (validates that the
-    // shards split evenly across clusters) and make it authoritative.
+    // The resolved cluster shape is authoritative from here on.
     cfg_.numShards = cfg_.topology.resolveShards(cfg_.numShards);
-    fatal_if(cfg_.numShards > 256, "shard tag is 8 bits (max 256 shards)");
     unsigned perCluster = cfg_.numShards / cfg_.topology.clusters;
 
     if (!cfg_.traceIn.empty()) {
@@ -76,30 +149,15 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
         writer_->setConfigFingerprint(traceConfigFingerprint(cfg_));
     }
 
-    // Multi-threaded process mode: every shard hosts threads of ONE
-    // process (thread t on shard t % numShards), so a process profile
-    // cannot share the system with unrelated workloads, and the thread
-    // count must cover (and divide across) the shards.
-    const unsigned procThreads =
-        cfg_.workloads.empty() ? 0 : cfg_.workloads.front().procThreads;
-    for (const BenchProfile &p : cfg_.workloads)
-        fatal_if((p.procThreads > 0) != (procThreads > 0) ||
-                     (p.procThreads > 0 &&
-                      (p.procThreads != procThreads ||
-                       p.name != cfg_.workloads.front().name ||
-                       p.seed != cfg_.workloads.front().seed)),
-                 "a multi-threaded process profile cannot mix with "
-                 "other workloads");
-    if (procThreads > 0) {
-        fatal_if(cfg_.numShards > procThreads, "more shards (",
-                 cfg_.numShards, ") than process threads (", procThreads,
-                 ")");
-        procShared_ = std::make_unique<ProcessShared>(procThreads);
-    }
+    // Multi-threaded process mode (validateConfig): the shards host
+    // the threads of one process and share its log/analysis state.
+    const BenchProfile &proc = cfg_.workloads.front();
+    if (proc.isProcess())
+        procShared_ = std::make_unique<ProcessShared>(proc.procThreads);
 
     for (unsigned i = 0; i < cfg_.numShards; ++i) {
         BenchProfile prof = shardWorkload(cfg_.workloads, i);
-        if (procThreads > 0) {
+        if (proc.isProcess()) {
             prof.procShardId = i;
             prof.procShards = cfg_.numShards;
         }
@@ -454,6 +512,17 @@ replayConfig(const std::string &path)
     if (!m.present)
         throw TraceError("'" + path + "' carries no replay manifest "
                          "(capture was not finished with closeTrace)");
+
+    // The one rule validateConfig() cannot see: one shard per stream
+    // (each factor bounded first, so the product cannot wrap).
+    const std::uint64_t n = r.numStreams();
+    if (m.shardsPerCluster != 0
+            ? m.clusters > n || m.shardsPerCluster > n ||
+                  m.clusters * m.shardsPerCluster != n
+            : m.numShards != n)
+        throw TraceError("'" + path + "' holds " + std::to_string(n) +
+                         " streams but its manifest describes another "
+                         "shard count");
 
     MultiCoreConfig cfg;
     cfg.traceIn = path;

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,14 @@ struct MultiCoreConfig
     std::string traceOut;
 };
 
+/**
+ * Every rule MultiCoreSystem construction enforces (workloads,
+ * monitor name, topology, slice length, core knobs, -mt process
+ * shape): the message the constructor would fatal() with, or nothing.
+ * A replay trace's stream count is checked by replayConfig() instead.
+ */
+std::optional<std::string> validateConfig(const MultiCoreConfig &cfg);
+
 /** One shard's slice of a measured run. */
 struct ShardResult
 {
@@ -158,6 +167,7 @@ struct MultiCoreResult
 class MultiCoreSystem
 {
   public:
+    /** fatal() with validateConfig()'s message on an invalid @p cfg. */
     explicit MultiCoreSystem(const MultiCoreConfig &cfg);
     ~MultiCoreSystem();
 
@@ -328,7 +338,8 @@ std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
  * set, so constructing a MultiCoreSystem from it replays the capture;
  * drive it with the manifest's warmup/measure instruction counts to
  * reproduce the recorded run bit for bit. Throws TraceError when the
- * file is unreadable or carries no manifest.
+ * file is unreadable, carries no manifest, or its manifest's shard
+ * count differs from the number of streams it holds.
  */
 MultiCoreConfig replayConfig(const std::string &path);
 

@@ -86,10 +86,8 @@ ShardScheduler::ShardScheduler(const SchedulerConfig &cfg,
                                const std::vector<unsigned> &clusters)
     : cfg_(cfg)
 {
-    fatal_if(shards.empty(), "scheduler needs >= 1 shard");
     fatal_if(clusters.size() != shards.size(),
              "scheduler needs one home cluster per shard");
-    fatal_if(cfg_.sliceTicks == 0, "sliceTicks must be >= 1");
     for (std::size_t i = 0; i < shards.size(); ++i)
         runners_.push_back(std::make_unique<ShardRunner>(
             *shards[i], dir, clusters[i]));

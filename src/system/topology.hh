@@ -55,8 +55,13 @@ struct Topology
     unsigned remoteLatency = 40;
 
     /** Total shards this topology describes given @p numShards from
-     *  the config; validates divisibility (fatal on mismatch). */
-    unsigned resolveShards(unsigned numShards) const;
+     *  the config (validateConfig() checks the shape). */
+    unsigned
+    resolveShards(unsigned numShards) const
+    {
+        return shardsPerCluster != 0 ? clusters * shardsPerCluster
+                                     : numShards;
+    }
 
     /** Cluster of @p shard under block assignment: shards
      *  [c*spc, (c+1)*spc) form cluster c. */

@@ -18,6 +18,7 @@
 #define FADE_TRACE_PROFILE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,9 @@ struct BenchProfile
     unsigned procShards = 1;
 
     std::uint64_t seed = 1;
+
+    /** Threads of one multi-threaded process (procThreads > 0). */
+    bool isProcess() const { return procThreads > 0; }
 };
 
 /** Profile for one of the eight SPEC2006-int benchmarks modelled. */
@@ -154,6 +158,13 @@ BenchProfile parallelProfile(const std::string &name);
  */
 BenchProfile threadedProfile(const std::string &base,
                              unsigned threads = 4);
+
+/** The profile @p name denotes under @p monitor ("<base>-mt": process
+ *  of parallel benchmark <base>; else parallel under AtomCheck, SPEC
+ *  otherwise), or nothing for an unknown name. Every front end
+ *  resolves names here. */
+std::optional<BenchProfile> findProfile(const std::string &monitor,
+                                        const std::string &name);
 
 /** Names of the modelled SPEC2006-int benchmarks. */
 const std::vector<std::string> &specBenchmarks();

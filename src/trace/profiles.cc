@@ -1,5 +1,7 @@
 #include "trace/profile.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace fade
@@ -292,6 +294,22 @@ threadedProfile(const std::string &base, unsigned threads)
         p.procSections = 72;
     }
     return p;
+}
+
+std::optional<BenchProfile>
+findProfile(const std::string &monitor, const std::string &name)
+{
+    const std::size_t n = name.size();
+    const bool mt = n > 3 && name.compare(n - 3, 3, "-mt") == 0;
+    const std::string base = mt ? name.substr(0, n - 3) : name;
+    const bool parallel = mt || monitor == "AtomCheck";
+    const std::vector<std::string> &suite =
+        parallel ? parallelBenchmarks() : specBenchmarks();
+    if (std::find(suite.begin(), suite.end(), base) == suite.end())
+        return std::nullopt;
+    if (mt)
+        return threadedProfile(base);
+    return parallel ? parallelProfile(base) : specProfile(base);
 }
 
 } // namespace fade

@@ -46,6 +46,7 @@
 
 using namespace fade;
 using namespace fade::daemon;
+using fade::test::rewriteTrace;
 using fade::test::TempDir;
 using fade::test::UniqueSocketPath;
 
@@ -608,6 +609,64 @@ TEST(DaemonFuzz, RetiredEngineByteRejectedThenServes)
     EXPECT_EQ(bad.error.reason, Reason::BadConfig);
     EXPECT_NE(bad.error.message.find("engine"), std::string::npos)
         << bad.error.message;
+
+    expectDaemonServes(sock.path());
+    daemon.stop();
+}
+
+TEST(DaemonFuzz, CraftedManifestRejectedThenServes)
+{
+    // A CRC-valid upload whose manifest describes a system the
+    // simulator cannot build gets a typed BadTrace rejection before
+    // any simulator exists, and the same daemon keeps serving.
+    TempDir dir;
+    const std::string trace = dir.file("capture.ftrace");
+    {
+        MultiCoreConfig cap;
+        cap.monitor = "MemLeak";
+        cap.workloads = {specProfile("bzip")};
+        cap.traceOut = trace;
+        MultiCoreSystem sys(cap);
+        sys.warmup(200);
+        MultiCoreResult r = sys.run(1000);
+        sys.closeTrace(fingerprintHash(resultFingerprint(sys, r)));
+    }
+
+    UniqueSocketPath sock;
+    FadedConfig cfg;
+    cfg.socketPath = sock.path();
+    Faded daemon(cfg);
+    daemon.start();
+
+    WireSessionConfig wc;
+    wc.upload = true;
+    const TraceManifest captured = TraceReader(trace).manifest();
+    // Control: the unedited rewrite replays fine.
+    const std::string rewritten = dir.file("rewritten.ftrace");
+    rewriteTrace(trace, rewritten, captured);
+    SessionOutcome ok = runSession(sock.path(), wc, rewritten);
+    ASSERT_TRUE(ok.ok) << ok.error.message;
+    EXPECT_EQ(ok.result.hash, captured.fingerprintHash);
+
+    std::vector<std::pair<std::string, TraceManifest>> crafted;
+    auto craft = [&](const char *what) -> TraceManifest & {
+        crafted.emplace_back(what, captured);
+        return crafted.back().second;
+    };
+    craft("unknown monitor").monitor = "Bogus";
+    craft("no clusters").clusters = 0;
+    craft("fades above cap").fadesPerShard = 9;
+    craft("zero slice").sliceTicks = 0;
+    craft("zero core width").coreWidth = 0;
+    craft("zero ROB").robSize = 0;
+    craft("more shards than streams").shardsPerCluster = 2;
+    for (const auto &[what, manifest] : crafted) {
+        rewriteTrace(trace, rewritten, manifest);
+        SessionOutcome o = runSession(sock.path(), wc, rewritten);
+        EXPECT_FALSE(o.ok) << what;
+        EXPECT_EQ(o.error.reason, Reason::BadTrace)
+            << what << ": " << o.error.message;
+    }
 
     expectDaemonServes(sock.path());
     daemon.stop();

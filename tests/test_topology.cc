@@ -87,10 +87,14 @@ TEST(Topology, ResolvesShardCounts)
     t.shardsPerCluster = 4;
     EXPECT_EQ(t.resolveShards(1), 8u);
 
-    Topology bad;
-    bad.clusters = 3;
-    EXPECT_EXIT(bad.resolveShards(4), testing::ExitedWithCode(1),
-                "divide evenly");
+    // The shape rules live in validateConfig().
+    MultiCoreConfig bad;
+    bad.workloads = {specProfile("hmmer")};
+    bad.numShards = 4;
+    bad.topology.clusters = 3;
+    ASSERT_TRUE(validateConfig(bad).has_value());
+    EXPECT_NE(validateConfig(bad)->find("divide evenly"),
+              std::string::npos);
 }
 
 TEST(Topology, GoldenFlatFingerprints)

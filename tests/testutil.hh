@@ -2,9 +2,9 @@
  * @file
  * Shared test helpers: self-deleting temp-file and temp-directory RAII
  * wrappers used by every suite that round-trips files through disk
- * (trace capture, golden replay, threaded-matrix capture tests), and
- * the unique-socket-path helper the daemon tests bind their unix
- * sockets under.
+ * (trace capture, golden replay, threaded-matrix capture tests), the
+ * unique-socket-path helper the daemon tests bind their unix sockets
+ * under, and a trace rewriter for crafting manifests.
  */
 
 #ifndef FADE_TESTS_TESTUTIL_HH
@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "trace/tracefile.hh"
 
 namespace fade::test
 {
@@ -110,6 +112,27 @@ class UniqueSocketPath
     TempDir dir_;
     std::string path_;
 };
+
+/** Copy the trace at @p from to @p to record for record (TraceReader
+ *  -> ReplaySource -> TraceWriter) under manifest @p m: a CRC-valid
+ *  trace whose manifest says whatever the test wants. */
+inline void
+rewriteTrace(const std::string &from, const std::string &to,
+             const TraceManifest &m)
+{
+    TraceReader r(from);
+    TraceWriter w(to);
+    w.setConfigFingerprint(r.configFingerprint());
+    for (unsigned s = 0; s < r.numStreams(); ++s)
+        w.addStream(r.stream(s));
+    for (unsigned s = 0; s < r.numStreams(); ++s) {
+        ReplaySource src(r, s);
+        while (src.available())
+            w.append(s, src.fetch());
+    }
+    w.setManifest(m);
+    w.close();
+}
 
 } // namespace fade::test
 
