@@ -116,8 +116,7 @@ uploadPlan(const WireSessionConfig &wc, const std::string &tracePath)
     SessionPlan plan;
     TraceManifest m;
     try {
-        plan.cfg = replayConfig(tracePath);
-        m = TraceReader(tracePath).manifest();
+        plan.cfg = replayConfig(tracePath, &m);
     } catch (const TraceError &e) {
         throw SessionReject(Reason::BadTrace, e.what());
     }
@@ -127,6 +126,11 @@ uploadPlan(const WireSessionConfig &wc, const std::string &tracePath)
         throw SessionReject(Reason::BadTrace,
                             "uploaded trace exceeds the session "
                             "shard cap");
+    if (m.eqCapacity > maxSessionQueueCapacity ||
+        m.ueqCapacity > maxSessionQueueCapacity)
+        throw SessionReject(Reason::BadTrace,
+                            "queue capacity exceeds the session cap of " +
+                                std::to_string(maxSessionQueueCapacity));
     finishConfig(plan.cfg, wc, Reason::BadTrace);
     plan.warmup = m.warmupInstructions;
     plan.measure = m.measureInstructions;

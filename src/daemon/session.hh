@@ -64,6 +64,9 @@ class SessionReject : public std::runtime_error
 constexpr unsigned maxSessionShards = 64;
 constexpr std::uint64_t maxSessionInstructions = 4'000'000;
 constexpr std::uint64_t maxUploadBytes = 64u << 20;
+/** EQ/UEQ slots an uploaded manifest may ask for (0 = unbounded stays
+ *  legal): queues preallocate their slots at construction. */
+constexpr std::uint64_t maxSessionQueueCapacity = 65536;
 
 /** A validated session: the system configuration plus the instruction
  *  budget to drive it with. */

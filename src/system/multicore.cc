@@ -257,8 +257,8 @@ appendRun(std::vector<std::uint64_t> &fp, const RunResult &r)
 std::vector<std::uint64_t>
 resultFingerprint(MultiCoreSystem &sys, const MultiCoreResult &r)
 {
-    std::vector<std::uint64_t> fp;
-    fp.insert(fp.end(), {r.cycles, r.totalInstructions, r.totalEvents});
+    std::vector<std::uint64_t> fp{r.cycles, r.totalInstructions,
+                                  r.totalEvents};
     appendFade(fp, r.fade);
     appendHist(fp, r.eqOccupancy);
     for (const ShardResult &s : r.shards) {
@@ -505,7 +505,7 @@ traceConfigFingerprint(const MultiCoreConfig &cfg)
 }
 
 MultiCoreConfig
-replayConfig(const std::string &path)
+replayConfig(const std::string &path, TraceManifest *manifest)
 {
     TraceReader r(path);
     const TraceManifest &m = r.manifest();
@@ -555,6 +555,8 @@ replayConfig(const std::string &path)
         p.procThreads = sm.procThreads;
         cfg.workloads.push_back(std::move(p));
     }
+    if (manifest)
+        *manifest = m;
     return cfg;
 }
 

@@ -337,11 +337,14 @@ std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
  * replay, where no generator runs). The returned config has traceIn
  * set, so constructing a MultiCoreSystem from it replays the capture;
  * drive it with the manifest's warmup/measure instruction counts to
- * reproduce the recorded run bit for bit. Throws TraceError when the
- * file is unreadable, carries no manifest, or its manifest's shard
- * count differs from the number of streams it holds.
+ * reproduce the recorded run bit for bit. When @p manifest is non-null
+ * it receives a copy of the file's manifest, so a caller needs no
+ * second open for those counts. Throws TraceError when the file is
+ * unreadable, carries no manifest, or its manifest's shard count
+ * differs from the number of streams it holds.
  */
-MultiCoreConfig replayConfig(const std::string &path);
+MultiCoreConfig replayConfig(const std::string &path,
+                             TraceManifest *manifest = nullptr);
 
 } // namespace fade
 

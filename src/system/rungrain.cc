@@ -1,7 +1,6 @@
 #include "system/rungrain.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/logging.hh"
 #include "trace/threads.hh"
@@ -60,7 +59,6 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
     // unaccelerated monitor process pops the real EQ after every
     // retirement, so it keeps the per-instruction interleaving.
     spanPath_ = srcRuns_ && sys.cfg_.spanFastPath &&
-                std::getenv("FADE_NO_SPAN") == nullptr &&
                 (sys.mon_ == nullptr || fades_ || perfect_);
 }
 

@@ -100,10 +100,8 @@ struct SystemConfig
      * instruction spans (InstSource::fetchSpan) with bulk event
      * extraction (EventProducer::commitSpan) instead of per-
      * instruction round-trips. Results are bit-identical either way
-     * (enforced by tests and the release CI fingerprint check); false
-     * forces the per-instruction path. The FADE_NO_SPAN environment
-     * variable (any value) also forces it off, so benchmarks can A/B
-     * the two paths without a config plumb-through.
+     * (SpanPathEngine.ForcedOffFingerprintIdentical); false forces the
+     * per-instruction path.
      */
     bool spanFastPath = true;
     /**

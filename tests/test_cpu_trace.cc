@@ -415,12 +415,15 @@ TEST_P(TraceProfileSweep, StreamsAreWellFormed)
     for (int i = 0; i < 30000; ++i) {
         Instruction inst = g.fetch();
         ASSERT_LT(int(inst.cls), int(InstClass::NumClasses));
-        if (inst.hasDst)
+        if (inst.hasDst) {
             ASSERT_LT(inst.dst, numArchRegs);
-        if (inst.numSrc >= 1)
+        }
+        if (inst.numSrc >= 1) {
             ASSERT_LT(inst.src1, numArchRegs);
-        if (inst.isMemRef())
+        }
+        if (inst.isMemRef()) {
             ASSERT_EQ(inst.memAddr % 4, 0u) << "word aligned";
+        }
         if (inst.isStackUpdate()) {
             ASSERT_GT(inst.frameBytes, 0u);
             ASSERT_TRUE(isStackAddr(inst.frameBase));

@@ -660,12 +660,26 @@ TEST(DaemonFuzz, CraftedManifestRejectedThenServes)
     craft("zero core width").coreWidth = 0;
     craft("zero ROB").robSize = 0;
     craft("more shards than streams").shardsPerCluster = 2;
+    // Queues preallocate their slots, so these would throw length_error
+    // (or allocate GiBs) at construction without the session cap.
+    craft("EQ capacity 2^62").eqCapacity = std::uint64_t(1) << 62;
+    craft("UEQ capacity 2^62").ueqCapacity = std::uint64_t(1) << 62;
+    craft("EQ capacity one over cap").eqCapacity =
+        maxSessionQueueCapacity + 1;
     for (const auto &[what, manifest] : crafted) {
         rewriteTrace(trace, rewritten, manifest);
         SessionOutcome o = runSession(sock.path(), wc, rewritten);
         EXPECT_FALSE(o.ok) << what;
         EXPECT_EQ(o.error.reason, Reason::BadTrace)
             << what << ": " << o.error.message;
+    }
+
+    // Unbounded (0) and the cap itself stay legal.
+    for (std::uint64_t slots : {std::uint64_t(0), maxSessionQueueCapacity}) {
+        TraceManifest m = captured;
+        m.eqCapacity = m.ueqCapacity = slots;
+        rewriteTrace(trace, rewritten, m);
+        EXPECT_NO_THROW(sessionPlan(wc, rewritten)) << slots;
     }
 
     expectDaemonServes(sock.path());

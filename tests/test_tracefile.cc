@@ -8,8 +8,9 @@
  *   hashes are pinned to goldens from the engine that ticked every
  *   component every cycle.
  * - CaptureDoesNotPerturb: teeing the generator through CaptureSource
- *   leaves the live run's full fingerprint vector untouched, and the
- *   captured bytes are policy-invariant.
+ *   leaves the live run's full fingerprint vector untouched, and its
+ *   replay reproduces it, under either engine; the captured bytes are
+ *   policy-invariant.
  * - RoundTripFuzz: randomized records (edge-case addresses included)
  *   survive encode/decode field for field; corrupted and truncated
  *   files fail with TraceError, never UB (run under ASan/UBSan in CI).
@@ -327,18 +328,29 @@ TEST(ReplayMatrix, UnmonitoredBaseline)
 
 TEST(Capture, DoesNotPerturbLiveRun)
 {
-    MultiCoreConfig cfg = matrixConfig("MemLeak", "hmmer", 2, 1, 1);
-    MultiCoreSystem live(cfg);
-    std::vector<std::uint64_t> liveFp = drive(live, kWarm, kRun);
+    // Per engine: live == capturing == replaying, full vectors, not
+    // just hashes. Run-grain timing is deterministic and depends only
+    // on the instruction stream, so its three runs agree bit for bit
+    // too (its values differ from per-cycle's by design).
+    for (Engine eng : {Engine::PerCycle, Engine::RunGrain}) {
+        SCOPED_TRACE(engineName(eng));
+        MultiCoreConfig cfg = matrixConfig("MemLeak", "hmmer", 2, 1, 1);
+        cfg.engine = eng;
+        MultiCoreSystem live(cfg);
+        std::vector<std::uint64_t> liveFp = drive(live, kWarm, kRun);
 
-    TempTrace t;
-    cfg.traceOut = t.path();
-    MultiCoreSystem taped(cfg);
-    std::vector<std::uint64_t> tapedFp = drive(taped, kWarm, kRun);
-    taped.closeTrace(fingerprintHash(tapedFp));
+        TempTrace t;
+        cfg.traceOut = t.path();
+        MultiCoreSystem taped(cfg);
+        std::vector<std::uint64_t> tapedFp = drive(taped, kWarm, kRun);
+        taped.closeTrace(fingerprintHash(tapedFp));
+        EXPECT_EQ(liveFp, tapedFp);
 
-    // Full vectors, not just hashes: capture must be invisible.
-    EXPECT_EQ(liveFp, tapedFp);
+        MultiCoreConfig rep = replayConfig(t.path());
+        rep.engine = eng;
+        MultiCoreSystem replayed(rep);
+        EXPECT_EQ(liveFp, drive(replayed, kWarm, kRun));
+    }
 }
 
 TEST(Capture, BytesPolicyInvariant)
