@@ -128,6 +128,74 @@ Fade::finalizeBursts()
     }
 }
 
+inline void
+Fade::evaluateFilter(const EventTableEntry &e, const MonEvent &ev,
+                     OperandMd &md, FilterOutcome &out)
+{
+    md = gatherMd(e, ev);
+    out = logic_.evaluate(table_, ev.eventId, md);
+    stats_.shots += out.shots;
+    stats_.comparisons += out.blocksUsed;
+}
+
+inline bool
+Fade::applyVerdict(const MonEvent &ev, const FilterOutcome &out)
+{
+    ++stats_.instEvents;
+    if (out.filtered) {
+        ++stats_.filtered;
+        if (ev.eventId < numCanonicalEvents)
+            ++stats_.filteredById[ev.eventId];
+        if (out.ccPassed)
+            ++stats_.filteredCC;
+        else if (out.ruPassed)
+            ++stats_.filteredRU;
+        ++sinceUnfiltered_;
+        return false;
+    }
+
+    UnfilteredEvent *u = ueq_->pushSlot();
+    panic_if(!u, "unfiltered event queue push rejected");
+    u->ev = ev;
+    u->handlerPc = out.handlerPc;
+    u->checkPassed = out.checkPassed;
+    u->hwChecked = true;
+    ++outstanding_;
+
+    if (ev.eventId < numCanonicalEvents)
+        ++stats_.softwareById[ev.eventId];
+    if (out.partial) {
+        if (out.checkPassed)
+            ++stats_.partialPass;
+        else
+            ++stats_.partialFail;
+    } else {
+        ++stats_.unfiltered;
+    }
+    recordSoftwareBound(ev);
+    return true;
+}
+
+void
+Fade::forwardHighLevel(const MonEvent &ev)
+{
+    UnfilteredEvent *u = ueq_->pushSlot();
+    panic_if(!u, "unfiltered event queue push rejected");
+    *u = UnfilteredEvent{};
+    u->ev = ev;
+    ++outstanding_;
+    ++stats_.highLevelEvents;
+    recordSoftwareBound(ev);
+}
+
+void
+Fade::startStackUpdate(const MonEvent &ev)
+{
+    if (onStackUpdate)
+        onStackUpdate(ev);
+    suu_.start(ev.appAddr, ev.len, ev.kind == EventKind::StackCall);
+}
+
 bool
 Fade::advanceMw(Cycle now)
 {
@@ -162,65 +230,33 @@ Fade::advanceFilter(Cycle now)
         return;
     }
 
-    const FilterOutcome &out = filt.out;
-    if (out.filtered) {
-        ++stats_.instEvents;
-        ++stats_.filtered;
-        if (filt.ev.eventId < numCanonicalEvents)
-            ++stats_.filteredById[filt.ev.eventId];
-        if (out.ccPassed)
-            ++stats_.filteredCC;
-        else if (out.ruPassed)
-            ++stats_.filteredRU;
-        ++sinceUnfiltered_;
-        latchDrain(filt);
-        return;
-    }
-
     // Software processing required: forward through the unfiltered
     // event queue, respecting its backpressure.
-    if (ueq_->full()) {
+    if (!filt.out.filtered && ueq_->full()) {
         ++stats_.stallUeqFull;
         return;
     }
 
-    UnfilteredEvent *u = ueq_->pushSlot();
-    u->ev = filt.ev;
-    u->handlerPc = out.handlerPc;
-    u->checkPassed = out.checkPassed;
-    u->hwChecked = true;
-    ++outstanding_;
-
-    ++stats_.instEvents;
-    if (filt.ev.eventId < numCanonicalEvents)
-        ++stats_.softwareById[filt.ev.eventId];
-    if (out.partial) {
-        if (out.checkPassed)
-            ++stats_.partialPass;
-        else
-            ++stats_.partialFail;
-    } else {
-        ++stats_.unfiltered;
-    }
-    recordSoftwareBound(filt.ev);
-
-    if (params_.nonBlocking) {
-        const EventTableEntry &e = table_.lookup(filt.ev.eventId);
-        auto val = computeMdUpdate(e.nb, filt.md, inv_);
-        if (val) {
-            // MW latch takes the event: swap the (invalid) MW slot in
-            // under FILTER instead of copying the payload across. The
-            // moved slot keeps valid == true, the vacated one keeps
-            // false — occupancy is unchanged by construction.
-            shift(SFilt, SMw);
-            PipeSlot &mw = stage(SMw);
-            mw.nbVal = val;
-            mw.nbDestIsMem = e.d.valid && e.d.mem;
-            return;
+    if (applyVerdict(filt.ev, filt.out)) {
+        if (params_.nonBlocking) {
+            const EventTableEntry &e = table_.lookup(filt.ev.eventId);
+            auto val = computeMdUpdate(e.nb, filt.md, inv_);
+            if (val) {
+                // MW latch takes the event: swap the (invalid) MW slot
+                // in under FILTER instead of copying the payload
+                // across. The moved slot keeps valid == true, the
+                // vacated one keeps false — occupancy is unchanged by
+                // construction.
+                shift(SFilt, SMw);
+                PipeSlot &mw = stage(SMw);
+                mw.nbVal = val;
+                mw.nbDestIsMem = e.d.valid && e.d.mem;
+                return;
+            }
+        } else {
+            blocked_ = true;
+            blockedSeq_ = filt.ev.seq;
         }
-    } else {
-        blocked_ = true;
-        blockedSeq_ = filt.ev.seq;
     }
     latchDrain(filt);
 }
@@ -238,11 +274,8 @@ Fade::advanceMdr(Cycle now)
     const EventTableEntry &e = table_.lookup(filt.ev.eventId);
     // Metadata is (re)gathered on Filter entry: this models the
     // MW-to-Filter forwarding path for back-to-back dependences.
-    filt.md = gatherMd(e, filt.ev);
-    filt.out = logic_.evaluate(table_, filt.ev.eventId, filt.md);
+    evaluateFilter(e, filt.ev, filt.md, filt.out);
     filt.shotsLeft = filt.out.shots;
-    stats_.shots += filt.out.shots;
-    stats_.comparisons += filt.out.blocksUsed;
     // The swapped-in slot is already valid; occupancy unchanged.
 }
 
@@ -305,12 +338,8 @@ Fade::frontEnd(Cycle now)
                 ++stats_.stallUeqFull;
                 return;
             }
-            UnfilteredEvent u;
-            popEventInto(u.ev);
-            ueq_->push(u);
-            ++outstanding_;
-            ++stats_.highLevelEvents;
-            recordSoftwareBound(u.ev);
+            popEventInto(pendingFront_);
+            forwardHighLevel(pendingFront_);
         }
         break;
       }
@@ -322,10 +351,7 @@ Fade::frontEnd(Cycle now)
             ++stats_.stallDrain;
             return;
         }
-        if (onStackUpdate)
-            onStackUpdate(pendingFront_);
-        suu_.start(pendingFront_.appAddr, pendingFront_.len,
-                   pendingFront_.kind == EventKind::StackCall);
+        startStackUpdate(pendingFront_);
         front_ = FrontState::SuuActive;
         (void)now;
         break;
@@ -335,12 +361,7 @@ Fade::frontEnd(Cycle now)
             ++stats_.stallDrain;
             return;
         }
-        UnfilteredEvent u;
-        u.ev = pendingFront_;
-        ueq_->push(u);
-        ++outstanding_;
-        ++stats_.highLevelEvents;
-        recordSoftwareBound(u.ev);
+        forwardHighLevel(pendingFront_);
         front_ = FrontState::WaitHighDone;
         break;
       }
@@ -570,10 +591,7 @@ Fade::processEventRunGrain(const MonEvent &ev)
         o.kind = RunGrainEventOutcome::Kind::Stack;
         o.serialize = true;
         ++stats_.stackEvents;
-        if (onStackUpdate)
-            onStackUpdate(ev);
-        suu_.start(ev.appAddr, ev.len,
-                   ev.kind == EventKind::StackCall);
+        startStackUpdate(ev);
         unsigned cycles = 0;
         while (suu_.busy()) {
             suu_.tick();
@@ -592,13 +610,7 @@ Fade::processEventRunGrain(const MonEvent &ev)
         o.kind = RunGrainEventOutcome::Kind::HighLevel;
         o.software = true;
         o.serialize = params_.drainOnHighLevel;
-        UnfilteredEvent *u = ueq_->pushSlot();
-        panic_if(!u, "run-grain UEQ push rejected");
-        *u = UnfilteredEvent{};
-        u->ev = ev;
-        ++outstanding_;
-        ++stats_.highLevelEvents;
-        recordSoftwareBound(ev);
+        forwardHighLevel(ev);
         return o;
     }
 
@@ -606,44 +618,13 @@ Fade::processEventRunGrain(const MonEvent &ev)
              "monitored event id ", unsigned(ev.eventId),
              " has no event table entry");
     const EventTableEntry &e = table_.lookup(ev.eventId);
-    OperandMd md = gatherMd(e, ev);
-    FilterOutcome out = logic_.evaluate(table_, ev.eventId, md);
+    OperandMd md;
+    FilterOutcome out;
+    evaluateFilter(e, ev, md, out);
     o.shots = out.shots;
-    stats_.shots += out.shots;
-    stats_.comparisons += out.blocksUsed;
-    ++stats_.instEvents;
-
-    if (out.filtered) {
-        ++stats_.filtered;
-        if (ev.eventId < numCanonicalEvents)
-            ++stats_.filteredById[ev.eventId];
-        if (out.ccPassed)
-            ++stats_.filteredCC;
-        else if (out.ruPassed)
-            ++stats_.filteredRU;
-        ++sinceUnfiltered_;
+    o.software = applyVerdict(ev, out);
+    if (!o.software)
         return o;
-    }
-
-    o.software = true;
-    UnfilteredEvent *u = ueq_->pushSlot();
-    panic_if(!u, "run-grain UEQ push rejected");
-    u->ev = ev;
-    u->handlerPc = out.handlerPc;
-    u->checkPassed = out.checkPassed;
-    u->hwChecked = true;
-    ++outstanding_;
-    if (ev.eventId < numCanonicalEvents)
-        ++stats_.softwareById[ev.eventId];
-    if (out.partial) {
-        if (out.checkPassed)
-            ++stats_.partialPass;
-        else
-            ++stats_.partialFail;
-    } else {
-        ++stats_.unfiltered;
-    }
-    recordSoftwareBound(ev);
 
     if (params_.nonBlocking) {
         auto val = computeMdUpdate(e.nb, md, inv_);

@@ -389,7 +389,29 @@ class Fade
     OperandMd gatherMd(const EventTableEntry &e, const MonEvent &ev) const;
     unsigned mdReadLatency(const EventTableEntry &e, const MonEvent &ev);
     void recordSoftwareBound(const MonEvent &ev);
-    void noteFiltered(const FilterOutcome &out);
+
+    /*
+     * The functional steps both engines share: the per-cycle stages
+     * (advanceMdr, advanceFilter, frontEnd) and processEventRunGrain()
+     * call these, so the run-grain engine's verdicts cannot drift from
+     * the per-cycle ones. Stall checks stay with the stages.
+     */
+
+    /** Gather @p ev's operand metadata into @p md and evaluate its
+     *  filter rules into @p out (shots / comparisons counted). */
+    void evaluateFilter(const EventTableEntry &e, const MonEvent &ev,
+                        OperandMd &md, FilterOutcome &out);
+    /** Apply the verdict @p out of instruction event @p ev: filtered /
+     *  CC / RU / partial / unfiltered counters and, when software is
+     *  needed, the UEQ forward (the caller checked for room).
+     *  @return true when the event was forwarded to software. */
+    bool applyVerdict(const MonEvent &ev, const FilterOutcome &out);
+    /** Forward high-level event @p ev to its software handler (the
+     *  caller checked the UEQ for room). */
+    void forwardHighLevel(const MonEvent &ev);
+    /** Hand stack-update event @p ev to the SUU (the unit has drained). */
+    void startStackUpdate(const MonEvent &ev);
+
     bool advanceMw(Cycle now);
     void advanceFilter(Cycle now);
     void advanceMdr(Cycle now);

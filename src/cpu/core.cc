@@ -133,10 +133,10 @@ unsigned
 Core::addThread(InstSource *src, CommitSink *sink)
 {
     fatal_if(threads_.size() >= 2, "at most two hardware threads");
+    panic_if(!src, "a hardware thread needs an instruction source");
     HwThread t;
     t.src = src;
     t.sink = sink;
-    t.runSource = src && src->supportsRuns();
     t.freeSink = !sink || sink->alwaysCommits();
     // Size the ROB ring once for the full (unpartitioned) capacity so
     // it never grows on the dispatch path.
@@ -159,22 +159,6 @@ Core::runGrainThreadStats(unsigned t)
 {
     panic_if(t >= threads_.size(), "bad thread index");
     return threads_[t].stats;
-}
-
-unsigned
-Core::runGrainExecLatency(const Instruction &inst)
-{
-    // Mirrors the latency selection (and the cache side effects) of
-    // dispatchInst() exactly; the run-grain engine decides *when* the
-    // access lands, this decides *what* it costs.
-    if (inst.cls == InstClass::Load)
-        return l1d_ ? l1d_->access(inst.memAddr, false) : 2;
-    if (inst.cls == InstClass::Store) {
-        if (l1d_)
-            l1d_->access(inst.memAddr, true);
-        return 1;
-    }
-    return execLatency(inst.cls);
 }
 
 unsigned
@@ -217,33 +201,25 @@ Core::tryDispatchOne(HwThread &t, Cycle now, SrcProbe probe)
     // default, Effectful, is the reference behaviour).
     if (probe == SrcProbe::None)
         return false;
-    // Run-replay fast path (sources that declared supportsRuns, i.e.
-    // the monitor handler engine): instructions come straight out of
-    // the prefetched handler run; a non-null fetchNext() certifies
-    // available() would have been true and side-effect free, so the
-    // per-instruction round-trip is elided. A null falls back to the
-    // reference available()/fetch() protocol — pops and handler builds
-    // happen at exactly the same points as before.
+    // Run-replay fast path: instructions come straight out of a
+    // prefetched run (a handler sequence, staged or decoded application
+    // instructions); a non-null fetchNext() certifies available() would
+    // have been true and side-effect free, so the per-instruction
+    // round-trip is elided. A null falls back to the reference
+    // available()/fetch() protocol — pops and handler builds happen at
+    // exactly the same points.
+    const Instruction *pre = t.src->fetchNext();
+    if (!pre) {
+        if (probe == SrcProbe::Effectful && !t.src->available())
+            return false;
+        pre = t.src->fetchNext();
+    }
     // All checks passed: the dispatch is committed, so the instruction
     // lands straight in the claimed ROB slot (no staging copy).
-    auto dispatch = [&](const Instruction *pre) {
-        RobEntry &e = t.rob.pushSlot();
-        e.inst = pre ? *pre : t.src->fetch();
-        dispatchInst(t, now, e);
-        return true;
-    };
-    if (t.runSource) {
-        const Instruction *pre = t.src->fetchNext();
-        if (!pre) {
-            if (probe == SrcProbe::Effectful && !t.src->available())
-                return false;
-            pre = t.src->fetchNext();
-        }
-        return dispatch(pre);
-    }
-    if (probe == SrcProbe::Effectful && (!t.src || !t.src->available()))
-        return false;
-    return dispatch(nullptr);
+    RobEntry &e = t.rob.pushSlot();
+    e.inst = pre ? *pre : t.src->fetch();
+    dispatchInst(t, now, e);
+    return true;
 }
 
 void
@@ -266,20 +242,7 @@ Core::dispatchInst(HwThread &t, Cycle now, RobEntry &e)
         t.lastIssue = execStart;
     }
 
-    unsigned lat;
-    if (inst.cls == InstClass::Load) {
-        lat = l1d_ ? l1d_->access(inst.memAddr, false) : 2;
-    } else if (inst.cls == InstClass::Store) {
-        // Stores retire through a store buffer: keep the tags warm but
-        // do not stall the dependence chain.
-        if (l1d_)
-            l1d_->access(inst.memAddr, true);
-        lat = 1;
-    } else {
-        lat = execLatency(inst.cls);
-    }
-
-    Cycle readyAt = execStart + lat;
+    Cycle readyAt = execStart + instLatency(inst);
     if (inst.hasDst)
         t.regReady[inst.dst] = readyAt;
 
@@ -312,7 +275,7 @@ Core::tick(Cycle now, const SrcProbe *probes)
             ++t.stats.fetchBubbleCycles;
         if (t.rob.empty()) {
             bool avail = probes[i] == SrcProbe::Pure ||
-                         (probes[i] == SrcProbe::Effectful && t.src &&
+                         (probes[i] == SrcProbe::Effectful &&
                           t.src->available());
             if (!avail)
                 ++t.stats.idleCycles;

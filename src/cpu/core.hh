@@ -105,7 +105,7 @@ class RunGrainThread
     /**
      * Advance the recurrence by one instruction.
      * @param inst      the retiring instruction
-     * @param execLat   execution latency (Core::runGrainExecLatency)
+     * @param execLat   execution latency (Core::instLatency)
      * @param fetchGate earliest dispatch cycle (source availability)
      * @param sinkGate  earliest commit cycle (queue backpressure)
      */
@@ -216,14 +216,28 @@ class Core
     const ThreadStats &threadStats(unsigned t) const;
 
     /**
-     * Run-grain engine support: the execution latency dispatchInst()
-     * would compute for @p inst, with the identical data-cache access
+     * The execution latency of @p inst, with its data-cache access
      * (loads probe the L1d for their latency; stores keep the tags
      * warm and complete through the store buffer in one cycle). The
-     * cache state evolves exactly as a per-cycle dispatch would evolve
-     * it; only the cycle the access lands on is modeled.
+     * one latency selection of both engines: dispatch calls it, and
+     * the run-grain engine calls it in retirement order, so the cache
+     * state evolves identically; only the cycle the access lands on is
+     * modeled there.
      */
-    unsigned runGrainExecLatency(const Instruction &inst);
+    unsigned
+    instLatency(const Instruction &inst)
+    {
+        if (inst.cls == InstClass::Load)
+            return l1d_ ? l1d_->access(inst.memAddr, false) : 2;
+        if (inst.cls == InstClass::Store) {
+            // Stores retire through a store buffer: keep the tags warm
+            // but do not stall the dependence chain.
+            if (l1d_)
+                l1d_->access(inst.memAddr, true);
+            return 1;
+        }
+        return execLatency(inst.cls);
+    }
 
     /** Run-grain engine support: mutable per-thread statistics, for
      *  batch-applying modeled condition counters the way skipCycles()
@@ -253,9 +267,6 @@ class Core
     {
         InstSource *src = nullptr;
         CommitSink *sink = nullptr;
-        /** Source declared supportsRuns(): dispatch pulls from its
-         *  prefetched handler run via fetchNext(). */
-        bool runSource = false;
         /** Sink declared alwaysCommits(): skip canCommit entirely. */
         bool freeSink = false;
         /** Reorder buffer: bounded FIFO in one contiguous ring (sized

@@ -43,21 +43,17 @@ class InstSource
 
     /**
      * Run-replay fast path: when the source holds a prefetched run of
-     * instructions (a monitor handler sequence), consume and return a
+     * instructions (a monitor handler sequence, staged or decoded
+     * application instructions), consume and return a
      * pointer to the next one — valid until the next call on this
      * source. Returns nullptr, with NO side effects, when no prefetched
      * instruction exists; the caller must then fall back to the
      * available()/fetch() protocol. A non-null return is exactly
      * equivalent to available() (true, side-effect free here by
-     * definition) followed by fetch() — cores use it to replay handler
-     * runs without the per-instruction virtual round-trip.
+     * definition) followed by fetch() — cores use it to replay runs
+     * without the per-instruction virtual round-trip.
      */
     virtual const Instruction *fetchNext() { return nullptr; }
-
-    /** Static property: this source serves prefetched runs through
-     *  fetchNext(). Cores skip the fetchNext probe entirely for
-     *  sources that generate on demand. */
-    virtual bool supportsRuns() const { return false; }
 
     /**
      * Ask the source to pre-produce up to @p n upcoming instructions
@@ -81,13 +77,15 @@ class InstSource
      * Consume up to @p max staged instructions as one contiguous span —
      * the bulk generalization of fetchNext(). A returned span of count
      * k is exactly equivalent to k successive fetchNext() calls (same
-     * instructions, same side effects); an empty span means nothing is
-     * staged contiguously and the caller falls back to fetchNext()/
-     * fetch(). Span storage is owned by the source and is valid until
-     * the next fetch or stage call, so batch consumers (the run-grain
-     * driver) process a whole span without a per-instruction virtual
-     * round-trip. Sources may return fewer than @p max instructions
-     * (e.g. at a trace-block boundary); callers simply loop.
+     * instructions, same side effects). Span storage is owned by the
+     * source and is valid until the next fetch or stage call, so batch
+     * consumers (the run-grain driver) process a whole span without a
+     * per-instruction virtual round-trip. Sources may return fewer than
+     * @p max instructions (e.g. at a trace-block boundary); callers
+     * simply loop. The run-grain driver consumes the application stream
+     * only through stageRun(n) then fetchSpan(n): every application
+     * source returns an empty span right after staging only when it is
+     * exhausted.
      */
     virtual InstSpan
     fetchSpan(std::size_t max)

@@ -131,6 +131,13 @@ uploadPlan(const WireSessionConfig &wc, const std::string &tracePath)
         throw SessionReject(Reason::BadTrace,
                             "queue capacity exceeds the session cap of " +
                                 std::to_string(maxSessionQueueCapacity));
+    if (m.robSize > maxSessionRobSize || m.coreWidth > maxSessionCoreWidth)
+        throw SessionReject(Reason::BadTrace,
+                            "core geometry exceeds the session cap of " +
+                                std::to_string(maxSessionRobSize) +
+                                " ROB entries, " +
+                                std::to_string(maxSessionCoreWidth) +
+                                "-wide");
     finishConfig(plan.cfg, wc, Reason::BadTrace);
     plan.warmup = m.warmupInstructions;
     plan.measure = m.measureInstructions;
@@ -333,6 +340,9 @@ Session::step(std::uint64_t quantumEpochs)
         switch (phase_) {
           case Phase::Build:
             sys_ = std::make_unique<MultiCoreSystem>(plan_.cfg);
+            // The system holds the replay reader from here on, so the
+            // trace is freed with the system, not with the session.
+            plan_.cfg.traceIn.reset();
             sys_->beginWarmup(plan_.warmup);
             phase_ = Phase::Warm;
             break;

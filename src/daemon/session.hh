@@ -67,6 +67,11 @@ constexpr std::uint64_t maxUploadBytes = 64u << 20;
 /** EQ/UEQ slots an uploaded manifest may ask for (0 = unbounded stays
  *  legal): queues preallocate their slots at construction. */
 constexpr std::uint64_t maxSessionQueueCapacity = 65536;
+/** Core geometry an uploaded manifest may ask for: cores allocate
+ *  their ROB and dispatch rings from it at construction (the in-repo
+ *  core models top out at a 96-entry ROB and 4-wide dispatch). */
+constexpr std::uint64_t maxSessionRobSize = 1024;
+constexpr std::uint64_t maxSessionCoreWidth = 16;
 
 /** A validated session: the system configuration plus the instruction
  *  budget to drive it with. */

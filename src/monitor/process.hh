@@ -74,7 +74,6 @@ class MonitorProcess : public InstSource, public CommitSink
             return nullptr;
         return &seq_[fetchIdx_++];
     }
-    bool supportsRuns() const override { return true; }
     bool alwaysCommits() const override { return true; }
     void onCommit(const Instruction &inst) override;
 

@@ -1,6 +1,8 @@
 #include "system/multicore.hh"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "core/regfiles.hh"
 #include "monitor/factory.hh"
@@ -137,11 +139,10 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
     cfg_.numShards = cfg_.topology.resolveShards(cfg_.numShards);
     unsigned perCluster = cfg_.numShards / cfg_.topology.clusters;
 
-    if (!cfg_.traceIn.empty()) {
-        reader_ = std::make_unique<TraceReader>(cfg_.traceIn);
-        fatal_if(reader_->numStreams() != cfg_.numShards,
-                 "trace '", cfg_.traceIn, "' holds ",
-                 reader_->numStreams(), " streams but this system has ",
+    if (const TraceReader *reader = cfg_.traceIn.get()) {
+        fatal_if(reader->numStreams() != cfg_.numShards,
+                 "trace '", reader->path(), "' holds ",
+                 reader->numStreams(), " streams but this system has ",
                  cfg_.numShards, " shards");
     }
     if (!cfg_.traceOut.empty()) {
@@ -174,7 +175,7 @@ MultiCoreSystem::MultiCoreSystem(const MultiCoreConfig &cfg)
         scfg.shardId = std::uint8_t(i);
         scfg.engine = cfg_.engine;
         scfg.fadesPerShard = cfg_.topology.fadesPerShard;
-        scfg.traceIn = reader_.get();
+        scfg.traceIn = cfg_.traceIn.get();
         scfg.traceOut = writer_.get();
         unsigned cluster = cfg_.topology.clusterOf(i, perCluster);
         shardClusters_.push_back(cluster);
@@ -507,7 +508,8 @@ traceConfigFingerprint(const MultiCoreConfig &cfg)
 MultiCoreConfig
 replayConfig(const std::string &path, TraceManifest *manifest)
 {
-    TraceReader r(path);
+    auto reader = std::make_shared<const TraceReader>(path);
+    const TraceReader &r = *reader;
     const TraceManifest &m = r.manifest();
     if (!m.present)
         throw TraceError("'" + path + "' carries no replay manifest "
@@ -524,22 +526,34 @@ replayConfig(const std::string &path, TraceManifest *manifest)
                          " streams but its manifest describes another "
                          "shard count");
 
+    // Every count must fit its config field: a wrapped value would
+    // silently replay another system.
+    auto narrow = [&path](std::uint64_t v, const char *field) {
+        if (v > std::numeric_limits<unsigned>::max())
+            throw TraceError("'" + path + "' manifest field " + field +
+                             " (" + std::to_string(v) +
+                             ") is out of range");
+        return unsigned(v);
+    };
+
     MultiCoreConfig cfg;
-    cfg.traceIn = path;
+    cfg.traceIn = reader;
     cfg.monitor = m.monitor;
-    cfg.numShards = unsigned(m.numShards);
-    cfg.topology.clusters = unsigned(m.clusters);
-    cfg.topology.shardsPerCluster = unsigned(m.shardsPerCluster);
-    cfg.topology.fadesPerShard = unsigned(m.fadesPerShard);
-    cfg.topology.remoteLatency = unsigned(m.remoteLatency);
+    cfg.numShards = narrow(m.numShards, "numShards");
+    cfg.topology.clusters = narrow(m.clusters, "clusters");
+    cfg.topology.shardsPerCluster =
+        narrow(m.shardsPerCluster, "shardsPerCluster");
+    cfg.topology.fadesPerShard = narrow(m.fadesPerShard, "fadesPerShard");
+    cfg.topology.remoteLatency = narrow(m.remoteLatency, "remoteLatency");
     cfg.scheduler.sliceTicks = m.sliceTicks;
     cfg.shard.eqCapacity = std::size_t(m.eqCapacity);
     cfg.shard.ueqCapacity = std::size_t(m.ueqCapacity);
     cfg.shard.core.name = m.coreName;
-    cfg.shard.core.width = unsigned(m.coreWidth);
-    cfg.shard.core.robSize = unsigned(m.robSize);
+    cfg.shard.core.width = narrow(m.coreWidth, "coreWidth");
+    cfg.shard.core.robSize = narrow(m.robSize, "robSize");
     cfg.shard.core.inOrder = m.inOrder;
-    cfg.shard.core.mispredictPenalty = unsigned(m.mispredictPenalty);
+    cfg.shard.core.mispredictPenalty =
+        narrow(m.mispredictPenalty, "mispredictPenalty");
     cfg.shard.accelerated = m.accelerated;
     cfg.shard.twoCore = m.twoCore;
     cfg.shard.perfectConsumer = m.perfectConsumer;

@@ -81,13 +81,13 @@ struct MultiCoreConfig
      */
     Topology topology;
     /**
-     * Replay: drive every shard from this captured trace file instead
-     * of live generators ("" = live). Stream i feeds shard i; the
-     * trace must hold exactly numShards streams and the workload list
-     * must match the captured streams — replayConfig() reconstructs a
-     * matching config from the trace itself.
+     * Replay: drive every shard from this opened trace instead of live
+     * generators (null = live). Stream i feeds shard i; the trace must
+     * hold exactly numShards streams and the workload list must match
+     * the captured streams — replayConfig() opens the trace once and
+     * reconstructs a matching config from it.
      */
-    std::string traceIn;
+    std::shared_ptr<const TraceReader> traceIn;
     /**
      * Capture: tee every shard's application stream to this trace
      * file ("" = no capture). Finish the file with closeTrace() after
@@ -253,8 +253,8 @@ class MultiCoreSystem
 
     /** The capture writer (nullptr when traceOut is empty). */
     TraceWriter *traceWriter() { return writer_.get(); }
-    /** The replay reader (nullptr when traceIn is empty). */
-    const TraceReader *traceReader() const { return reader_.get(); }
+    /** The replay reader (nullptr when traceIn is null). */
+    const TraceReader *traceReader() const { return cfg_.traceIn.get(); }
 
     /**
      * Finish a capture (traceOut configured): write the replay
@@ -282,7 +282,6 @@ class MultiCoreSystem
     Phase phase_ = Phase::Idle;
     /** Monitor report counts at beginMeasure() (per-shard deltas). */
     std::vector<std::size_t> reportsBefore_;
-    std::unique_ptr<TraceReader> reader_;
     std::unique_ptr<TraceWriter> writer_;
     /** Instructions driven so far (recorded in the capture manifest). */
     std::uint64_t capturedWarmup_ = 0;
@@ -334,14 +333,16 @@ std::uint64_t traceConfigFingerprint(const MultiCoreConfig &cfg);
  * manifest and per-stream metadata: shape, monitor, queue/core knobs,
  * and one workload entry per stream (name/seed/threads exactly as
  * captured — the behavioural profile fields are irrelevant under
- * replay, where no generator runs). The returned config has traceIn
- * set, so constructing a MultiCoreSystem from it replays the capture;
+ * replay, where no generator runs). The returned config holds the
+ * opened trace in traceIn, so constructing a MultiCoreSystem from it
+ * replays the capture without reading the file again;
  * drive it with the manifest's warmup/measure instruction counts to
  * reproduce the recorded run bit for bit. When @p manifest is non-null
  * it receives a copy of the file's manifest, so a caller needs no
  * second open for those counts. Throws TraceError when the file is
- * unreadable, carries no manifest, or its manifest's shard count
- * differs from the number of streams it holds.
+ * unreadable, carries no manifest, a manifest field does not fit its
+ * config type, or its manifest's shard count differs from the number
+ * of streams it holds.
  */
 MultiCoreConfig replayConfig(const std::string &path,
                              TraceManifest *manifest = nullptr);

@@ -50,44 +50,18 @@ class EventProducer : public CommitSink
     void pause(bool p) { paused_ = p; }
 
     /**
-     * Retarget event emission at @p eq (run-grain engine): the driver
-     * points the producer at a private staging slot it drains after
-     * every retirement, so the architectural event queue's statistics
-     * can be driven from modeled time (BoundedQueue::accountTransit)
-     * instead of host-side pushes. Passing the original queue restores
-     * the per-cycle wiring. Only legal between slices, with no event
-     * in flight.
-     */
-    void rebindQueue(BoundedQueue<MonEvent> *eq) { eq_ = eq; }
-
-    /**
-     * Run-grain fast path: retire @p inst with the monitored verdict
-     * already decided by the caller (one Monitor::monitored() query per
-     * retirement, exactly like commitIfAllowed). The caller has already
-     * applied event-queue backpressure in its timing model, so the
-     * commit always succeeds.
-     */
-    void
-    commitDecided(const Instruction &inst, bool monitored)
-    {
-        ++retired_;
-        if (mon_ && eq_)
-            produce(inst, monitored);
-    }
-
-    /**
-     * Bulk span extraction (run-grain span path): retire @p n
+     * Bulk span extraction (run-grain engine): retire @p n
      * instructions at once, with verdicts @p mv already decided
      * (Monitor::monitoredSpan), building the events of every monitored
      * one into @p out instead of the bound queue. Returns the number
-     * of events written. Functionally identical to n commitDecided()
-     * calls — same retired/produced accounting, same seq numbering,
-     * same per-instruction thread-switch tracking — except that the
-     * events land in the caller's flat buffer: the caller owns the
-     * modeled queue accounting (the run-grain driver drives the
-     * architectural EQ statistics from modeled time) and must process
-     * the events in order. Callers segment spans at thread switches
-     * when INV-RF updates must stay ordered against event processing
+     * of events written. Functionally identical to n onCommit() calls
+     * — same retired/produced accounting, same seq numbering, same
+     * per-instruction thread-switch tracking — except that the events
+     * land in the caller's flat buffer: the caller owns the queue
+     * accounting (the run-grain driver drives the architectural EQ
+     * statistics from modeled time) and must process the events in
+     * order. Callers segment spans at thread switches when INV-RF
+     * updates must stay ordered against event processing
      * (system/rungrain.cc does).
      */
     std::size_t
@@ -101,18 +75,8 @@ class EventProducer : public CommitSink
         for (std::size_t i = 0; i < n; ++i) {
             const Instruction &inst = insts[i];
             noteTid(inst);
-            if (!mv[i])
-                continue;
-            MonEvent &slot = out[ev++];
-            if (inst.isStackUpdate())
-                slot = makeStackEvent(inst, seq_);
-            else if (inst.cls == InstClass::HighLevel)
-                slot = makeHighLevelEvent(inst, seq_);
-            else
-                slot = makeInstEvent(inst, seq_);
-            slot.shard = shard_;
-            ++seq_;
-            ++produced_;
+            if (mv[i])
+                buildEvent(inst, out[ev++]);
         }
         return ev;
     }
@@ -186,13 +150,22 @@ class EventProducer : public CommitSink
         // identical to push(); see BoundedQueue::pushSlot).
         MonEvent *slot = eq_->pushSlot();
         panic_if(!slot, "event queue push after canCommit check");
+        buildEvent(inst, *slot);
+    }
+
+    /** Build the event of monitored @p inst into @p slot (the one
+     *  extraction both engines use): stack-update, high-level or
+     *  instruction event, shard-stamped and sequence-numbered. */
+    void
+    buildEvent(const Instruction &inst, MonEvent &slot)
+    {
         if (inst.isStackUpdate())
-            *slot = makeStackEvent(inst, seq_);
+            slot = makeStackEvent(inst, seq_);
         else if (inst.cls == InstClass::HighLevel)
-            *slot = makeHighLevelEvent(inst, seq_);
+            slot = makeHighLevelEvent(inst, seq_);
         else
-            *slot = makeInstEvent(inst, seq_);
-        slot->shard = shard_;
+            slot = makeInstEvent(inst, seq_);
+        slot.shard = shard_;
         ++seq_;
         ++produced_;
     }

@@ -15,8 +15,7 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
       monHost_(sys.monCore_ ? sys.monCore_.get() : sys.appCore_.get()),
       fades_(sys.fades_.get()),
       producer_(sys.producer_.get()),
-      mproc_(sys.mproc_.get()),
-      stage_(0)
+      mproc_(sys.mproc_.get())
 {
     // The application source, exactly as the core sees it (the capture
     // tee outermost, so staged runs are recorded at consumption).
@@ -28,7 +27,6 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
         appSrc_ = sys.tgen_.get();
     else
         appSrc_ = sys.gen_.get();
-    srcRuns_ = appSrc_->supportsRuns();
 
     perfect_ = sys.cfg_.perfectConsumer && sys.mon_ != nullptr;
     unaccel_ = mproc_ != nullptr && fades_ == nullptr;
@@ -44,22 +42,6 @@ RunGrainDriver::RunGrainDriver(MonitoringSystem &sys)
         ueqStartRing_.assign(sys.cfg_.ueqCapacity, 0);
     if (fades_)
         pipes_.assign(fades_->size(), UnitPipe{});
-
-    // Events route through the driver's staging slot whenever nothing
-    // pops the architectural EQ eagerly on the host side; the real
-    // queue's statistics are then driven from modeled time
-    // (BoundedQueue::accountTransit). The unaccelerated configuration
-    // keeps the real binding: the monitor process pops the EQ
-    // directly, and the driver drains it after every retirement.
-    if (sys.mon_ && (fades_ || perfect_))
-        producer_->rebindQueue(&stage_);
-
-    // Span fast path: bulk extraction needs the producer bound to the
-    // driver (accelerated / perfect) or no events at all; the
-    // unaccelerated monitor process pops the real EQ after every
-    // retirement, so it keeps the per-instruction interleaving.
-    spanPath_ = srcRuns_ && sys.cfg_.spanFastPath &&
-                (sys.mon_ == nullptr || fades_ || perfect_);
 }
 
 Cycle
@@ -76,6 +58,16 @@ RunGrainDriver::ueqGate() const
     if (ueqStartRing_.empty() || ueqCount_ < ueqStartRing_.size())
         return 0;
     return ueqStartRing_[ueqIdx_] + 1;
+}
+
+void
+RunGrainDriver::recordUeqStart(Cycle startAt)
+{
+    if (!ueqStartRing_.empty()) {
+        ueqStartRing_[ueqIdx_] = startAt;
+        ueqIdx_ = (ueqIdx_ + 1 == ueqStartRing_.size()) ? 0 : ueqIdx_ + 1;
+    }
+    ++ueqCount_;
 }
 
 void
@@ -127,7 +119,7 @@ RunGrainDriver::runHandler(Cycle avail)
     bool first = true;
     Cycle gate = avail + monPopDelay_;
     while (const Instruction *hi = mproc_->fetchNext()) {
-        unsigned lat = monHost_->runGrainExecLatency(*hi);
+        unsigned lat = monHost_->instLatency(*hi);
         RunGrainThread::Retire r =
             monT_.retire(*hi, lat, first ? gate : 0, 0);
         if (first) {
@@ -157,6 +149,17 @@ void
 RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
 {
     ++stats_.events;
+
+    if (unaccel_) {
+        // The monitor process pops the architectural EQ itself (the
+        // real queue does its own accounting); its handler start is
+        // the modeled pop.
+        bool pushed = sys_.eq_.push(ev);
+        panic_if(!pushed, "run-grain event queue push rejected");
+        recordEqPop(runHandler(commit).start);
+        return;
+    }
+
     accountEqPush(commit);
 
     if (perfect_) {
@@ -195,11 +198,7 @@ RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
         Cycle uPush = std::max(resolve, ueqGate());
         u.pipeClear = std::max(u.pipeClear, resolve + 1);
         HandlerSpan h = runHandler(uPush);
-        if (!ueqStartRing_.empty()) {
-            ueqStartRing_[ueqIdx_] = h.start;
-            ueqIdx_ = (ueqIdx_ + 1 == ueqStartRing_.size()) ? 0 : ueqIdx_ + 1;
-        }
-        ++ueqCount_;
+        recordUeqStart(h.start);
         u.handlerClear = std::max(u.handlerClear, h.done);
         if (oc.serialize) // blocking FADE: filter stalls to completion
             u.freeAt = std::max(u.freeAt, h.done + 1);
@@ -235,65 +234,12 @@ RunGrainDriver::processEvent(const MonEvent &ev, Cycle commit)
         uPush = std::max(std::max(pop, u.pipeClear), ueqGate());
     recordEqPop(pop);
     HandlerSpan h = runHandler(uPush);
-    if (!ueqStartRing_.empty()) {
-        ueqStartRing_[ueqIdx_] = h.start;
-        ueqIdx_ = (ueqIdx_ + 1 == ueqStartRing_.size()) ? 0 : ueqIdx_ + 1;
-    }
-    ++ueqCount_;
+    recordUeqStart(h.start);
     u.handlerClear = std::max(u.handlerClear, h.done);
     if (oc.serialize)
         u.freeAt = std::max(u.freeAt, h.done + 1);
     if (multi)
         groupFree_ = std::max(groupFree_, h.done + 1);
-}
-
-bool
-RunGrainDriver::processOne()
-{
-    const Instruction *ip = srcRuns_ ? appSrc_->fetchNext() : nullptr;
-    Instruction local;
-    if (!ip) {
-        if (!appSrc_->available())
-            return false;
-        local = appSrc_->fetch();
-        ip = &local;
-    }
-    processInst(*ip);
-    return true;
-}
-
-void
-RunGrainDriver::processInst(const Instruction &inst)
-{
-    bool monitored =
-        sys_.mon_ != nullptr && sys_.mon_->monitored(inst);
-    unsigned lat = appCore_->runGrainExecLatency(inst);
-    Cycle sinkGate = monitored ? eqGate() : 0;
-    RunGrainThread::Retire r = appT_.retire(inst, lat, 0, sinkGate);
-
-    ThreadStats &as = appCore_->runGrainThreadStats(0);
-    ++as.retired;
-    as.sinkStallCycles += r.sinkWait;
-    as.robFullCycles += r.robWait;
-    as.fetchBubbleCycles += r.fetchWait;
-    stats_.cyclesFastForwarded += r.sinkWait + r.robWait + r.fetchWait;
-    ++stats_.instructions;
-
-    producer_->commitDecided(inst, monitored);
-
-    if (!monitored)
-        return;
-
-    if (unaccel_) {
-        // The monitor process pops the raw EQ itself; its handler
-        // start is the modeled pop.
-        ++stats_.events;
-        HandlerSpan h = runHandler(r.committed);
-        recordEqPop(h.start);
-        return;
-    }
-    if (!stage_.empty())
-        processEvent(stage_.pop(), r.committed);
 }
 
 void
@@ -317,16 +263,15 @@ RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
             ++e;
 
         // Functional: bulk event extraction for the segment.
-        std::size_t nev = producer_->commitSpan(
-            insts + s, verdicts_ + s, e - s, spanEvents_);
-        (void)nev;
+        producer_->commitSpan(insts + s, verdicts_ + s, e - s,
+                              spanEvents_);
 
         // Timing: retire recurrences with each event processed at its
         // own retire point (eqGate() ordering).
         std::size_t ev = 0;
         if (!mon) {
             for (std::size_t i = s; i < e; ++i) {
-                unsigned lat = appCore_->runGrainExecLatency(insts[i]);
+                unsigned lat = appCore_->instLatency(insts[i]);
                 RunGrainThread::Retire r =
                     appT_.retire(insts[i], lat, 0, 0);
                 as.sinkStallCycles += r.sinkWait;
@@ -337,7 +282,7 @@ RunGrainDriver::processSpan(const Instruction *insts, std::size_t n)
         } else {
             for (std::size_t i = s; i < e; ++i) {
                 bool monitored = verdicts_[i] != 0;
-                unsigned lat = appCore_->runGrainExecLatency(insts[i]);
+                unsigned lat = appCore_->instLatency(insts[i]);
                 Cycle sinkGate = monitored ? eqGate() : 0;
                 RunGrainThread::Retire r =
                     appT_.retire(insts[i], lat, 0, sinkGate);
@@ -366,33 +311,24 @@ RunGrainDriver::runUntil(std::uint64_t maxCycles,
     std::uint64_t ffBefore = stats_.cyclesFastForwarded;
     std::uint64_t stepBefore = stats_.cyclesStepped;
 
-    bool dry = false;
-    while (producer_->retired() < targetRetired && !dry) {
+    while (producer_->retired() < targetRetired) {
         // Catch-up: the modeled frontier already fills this window.
         if (appT_.lastCommit() >= end)
             break;
         std::uint64_t want = targetRetired - producer_->retired();
         std::size_t batch =
             std::size_t(std::min<std::uint64_t>(want, kStageRun));
+        // One span per batch, possibly shorter at a trace-block
+        // boundary (the loop re-stages). Every staged instruction is
+        // consumed before control returns, so stream edits such as
+        // injectBug() never interleave with staged work. A source
+        // returns an empty span right after staging only when it is
+        // exhausted.
         appSrc_->stageRun(batch);
-        if (spanPath_) {
-            // Batched fast path: one span per batch (possibly shorter
-            // at a trace-block boundary — the outer loop re-stages).
-            InstSpan span = appSrc_->fetchSpan(batch);
-            if (!span.empty()) {
-                processSpan(span.data, span.count);
-                continue;
-            }
-        }
-        // Drain the whole batch: any staged instructions are consumed
-        // before control returns (stream edits such as injectBug()
-        // must never interleave with staged work).
-        for (std::size_t k = 0; k < batch; ++k) {
-            if (!processOne()) {
-                dry = true;
-                break;
-            }
-        }
+        InstSpan span = appSrc_->fetchSpan(batch);
+        if (span.empty())
+            break;
+        processSpan(span.data, span.count);
     }
 
     Cycle frontier = appT_.lastCommit() + 1;

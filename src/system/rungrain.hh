@@ -14,22 +14,26 @@
  *
  * Functional/timing split (docs/ARCHITECTURE.md, "Run-grain engine"):
  *
- *  - FUNCTIONAL results are produced by the same components the
- *    per-cycle engine uses, invoked in eager-serialized order: the
- *    same instruction source calls, the same EventProducer emission,
- *    Fade::processEventRunGrain (gather/evaluate/counters verbatim,
- *    SUU ticked to completion), the same MonitorProcess handler
+ *  - FUNCTIONAL results are produced by the same code the per-cycle
+ *    engine runs, invoked in eager-serialized order: the same
+ *    instruction stream, the same event builder
+ *    (EventProducer::buildEvent), the same latency selection and
+ *    cache accesses (Core::instLatency), the FADE verdict steps
+ *    Fade::processEventRunGrain shares with the per-cycle stages (SUU
+ *    ticked to completion), the same MonitorProcess handler
  *    construction and Monitor functional calls. Instruction stream,
  *    event stream, filter verdicts, handler counts and bug reports
- *    are bit-identical to PerCycle (MultiCoreSystem::
- *    functionalFingerprint, enforced by tests/test_pipeline.cc).
+ *    are bit-identical to PerCycle within the documented contract
+ *    (MultiCoreSystem::functionalFingerprint, enforced by
+ *    tests/test_pipeline.cc and tests/test_validate.cc).
  *
  *  - TIMING is modeled: per-thread dispatch/commit recurrences, a
  *    per-unit ETR/CTRL/MDR/FILTER entry-time algebra, modeled queue
  *    occupancy and backpressure gates, and closed-form handler-thread
  *    scheduling. The model is deterministic and policy-invariant but
  *    intentionally NOT cycle-identical to PerCycle; its values are
- *    pinned by RunGrain's own golden fingerprints.
+ *    pinned by golden fingerprints of their own (RunGrainGolden.* in
+ *    tests/test_pipeline.cc).
  *
  * The driver keeps absolute modeled clocks that may run ahead of the
  * system's now_: advance() processes instructions until the retirement
@@ -45,7 +49,6 @@
 #include <vector>
 
 #include "cpu/core.hh"
-#include "sim/queue.hh"
 #include "sim/ring.hh"
 #include "system/system.hh"
 #include "system/topology.hh"
@@ -140,29 +143,22 @@ class RunGrainDriver
         Cycle freeAt = 0;
     };
 
-    /** Process one application instruction end to end (timing
-     *  recurrence, event extraction, filtering, handler).
-     *  @return false when the source has no instruction. */
-    bool processOne();
-
-    /** The body of processOne() after the instruction is in hand
-     *  (shared by the fetch and span paths). */
-    void processInst(const Instruction &inst);
-
     /**
-     * Batched span path: process @p n staged instructions. Verdicts
-     * are decided for the whole span up front (monitoredSpan), events
-     * are extracted in bulk per same-tid segment (commitSpan into the
-     * flat event buffer), and the timing recurrences then run over the
-     * span with the events processed at their retire points — the
-     * exact interleaving the per-instruction path produces (eqGate()
-     * for a monitored instruction must see the modeled pops of every
-     * earlier event, and INV-RF thread switches must stay ordered
-     * against event processing, hence the tid segmentation).
+     * Process @p n staged application instructions end to end (every
+     * instruction takes this path). Verdicts are decided for the whole
+     * span up front (monitoredSpan), events are extracted in bulk per
+     * same-tid segment (commitSpan into the flat event buffer), and the
+     * timing recurrences then run over the segment with each event
+     * processed at its own retire point (eqGate() for a monitored
+     * instruction must see the modeled pops of every earlier event,
+     * and INV-RF thread switches must stay ordered against event
+     * processing, hence the tid segmentation).
      */
     void processSpan(const Instruction *insts, std::size_t n);
 
-    /** Accelerated path: one produced event through the FadeGroup. */
+    /** One produced event, retired at @p commit: through the FadeGroup
+     *  (accelerated), the ideal consumer, or — unaccelerated — pushed
+     *  into the architectural EQ just before its handler runs. */
     void processEvent(const MonEvent &ev, Cycle commit);
 
     /** Run the pending software handler to completion on the monitor
@@ -182,6 +178,8 @@ class RunGrainDriver
     Cycle ueqGate() const;
     /** Record the modeled EQ pop of the event just admitted. */
     void recordEqPop(Cycle popAt);
+    /** Record the handler start (UEQ pop) of a software event. */
+    void recordUeqStart(Cycle startAt);
     /** Modeled EQ occupancy sample for a push at @p pushAt. */
     void accountEqPush(Cycle pushAt);
 
@@ -197,12 +195,6 @@ class RunGrainDriver
     MonitorProcess *mproc_;
     InstSource *appSrc_;
 
-    bool srcRuns_ = false;
-    /** Span fast path usable: source serves spans and the shard shape
-     *  lets events be extracted in bulk (accelerated / perfect /
-     *  unmonitored; the unaccelerated monitor process pops the real EQ
-     *  per retirement, so it stays on the per-instruction path). */
-    bool spanPath_ = false;
     bool perfect_ = false;
     /** Monitor process consumes the raw EQ (unaccelerated). */
     bool unaccel_ = false;
@@ -213,11 +205,6 @@ class RunGrainDriver
 
     RunGrainThread appT_;
     RunGrainThread monT_;
-
-    /** Private staging slot the producer is rebound to (accelerated /
-     *  perfect-consumer): drained after every retirement, so the
-     *  architectural EQ statistics are driven from modeled time. */
-    BoundedQueue<MonEvent> stage_;
 
     /** Modeled EQ: pop times of events still queued in modeled time. */
     RingDeque<Cycle> eqPending_;
@@ -240,8 +227,8 @@ class RunGrainDriver
     /** Group-serialized steering gate (multi-unit groups). */
     Cycle groupFree_ = 0;
 
-    /** Span-path scratch: per-instruction verdicts and the bulk-
-     *  extracted events of the current span (≤ kStageRun each). */
+    /** Span scratch: per-instruction verdicts and the bulk-extracted
+     *  events of the current span (≤ kStageRun each). */
     std::uint8_t verdicts_[kStageRun];
     MonEvent spanEvents_[kStageRun];
 

@@ -49,12 +49,14 @@ class TraceWriter;
 /**
  * Intra-shard execution engine. PerCycle is the cycle-exact model;
  * RunGrain replaces per-cycle timing with closed-form recurrences
- * between monitor-visible events: it preserves every functional result
+ * between monitor-visible events. Both engines run the same functional
+ * code (event extraction, latency selection, FADE verdicts), so within
+ * the documented contract RunGrain preserves every functional result
  * bit for bit (instruction stream, event stream, filter verdicts,
- * handler counts, bug reports — the functionalFingerprint() subset) but
- * models timing counters with its own deterministic equations
- * (docs/ARCHITECTURE.md, "Run-grain engine"). The values are the
- * daemon's wire encoding; 1 is unused.
+ * handler counts, bug reports — the functionalFingerprint() subset),
+ * while it models timing counters with its own deterministic
+ * equations (docs/ARCHITECTURE.md, "The run-grain engine"). The values
+ * are the daemon's wire encoding; 1 is unused.
  */
 enum class Engine : std::uint8_t
 {
@@ -65,8 +67,9 @@ enum class Engine : std::uint8_t
     PerCycle = 0,
     /** Run-grain engine (system/rungrain.hh): closed-form dispatch /
      *  commit / filter-pipeline timing between monitor-visible events;
-     *  functional results identical to PerCycle, timing counters
-     *  modeled (deterministic, pinned by their own goldens). */
+     *  functional results identical to PerCycle on the documented
+     *  contract, timing counters modeled (deterministic, pinned by the
+     *  RunGrainGolden tests). */
     RunGrain = 2,
 };
 
@@ -95,15 +98,6 @@ struct SystemConfig
     std::uint8_t shardId = 0;
     /** Intra-shard execution engine (results are engine-invariant). */
     Engine engine = Engine::PerCycle;
-    /**
-     * Run-grain batched functional fast path: consume staged
-     * instruction spans (InstSource::fetchSpan) with bulk event
-     * extraction (EventProducer::commitSpan) instead of per-
-     * instruction round-trips. Results are bit-identical either way
-     * (SpanPathEngine.ForcedOffFingerprintIdentical); false forces the
-     * per-instruction path.
-     */
-    bool spanFastPath = true;
     /**
      * Filter units behind this shard's event queue (FadeGroup,
      * system/topology.hh). 1 = the classic single-FADE shard,

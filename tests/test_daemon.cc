@@ -666,6 +666,12 @@ TEST(DaemonFuzz, CraftedManifestRejectedThenServes)
     craft("UEQ capacity 2^62").ueqCapacity = std::uint64_t(1) << 62;
     craft("EQ capacity one over cap").eqCapacity =
         maxSessionQueueCapacity + 1;
+    // A field that wraps when narrowed to its config type must not be
+    // read as its low bits (2^32 + 1 filter units would replay as 1).
+    craft("fades wrapping to 1").fadesPerShard = (std::uint64_t(1) << 32) + 1;
+    // Cores allocate their ROB and dispatch rings at construction.
+    craft("ROB one over cap").robSize = maxSessionRobSize + 1;
+    craft("width one over cap").coreWidth = maxSessionCoreWidth + 1;
     for (const auto &[what, manifest] : crafted) {
         rewriteTrace(trace, rewritten, manifest);
         SessionOutcome o = runSession(sock.path(), wc, rewritten);

@@ -25,9 +25,11 @@
  * the filter pipe, (b) precisely-pinned divergence shapes for the
  * configurations that do feed state back (the per-cycle pipeline
  * gathers metadata / prepares handlers ahead of older handlers'
- * effects; run-grain is strictly event-serial), and (c) full
- * determinism and scheduler-policy invariance of the run-grain results
- * themselves — docs/ARCHITECTURE.md, "Run-grain engine".
+ * effects; run-grain is strictly event-serial), (c) full determinism
+ * and scheduler-policy invariance of the run-grain results themselves,
+ * and (d) goldens of the full run-grain results, modeled timing
+ * included (RunGrainGolden.*) — docs/ARCHITECTURE.md, "The run-grain
+ * engine".
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +44,7 @@
 #include "system/multicore.hh"
 #include "system/pipeline.hh"
 #include "system/rungrain.hh"
+#include "testutil.hh"
 #include "trace/profile.hh"
 #include "trace/tracefile.hh"
 
@@ -390,33 +393,16 @@ TEST(PipelineEngine, DriverAccountingIsSane)
 namespace
 {
 
-/**
- * One single-shard run under @p eng, quiesced: run to @p target
- * retirements, drain, and return the cumulative functional
- * fingerprint. @p retiredOut receives the post-drain retirement count
- * (per-cycle overshoots the target by up to commit-width-1 and retires
- * an unmonitored tail during drain; run-grain stops exactly on
- * target), which is how the caller matches windows across engines.
- */
-std::vector<std::uint64_t>
-functionalRun(Engine eng, const std::string &monitor,
-              const BenchProfile &prof,
-              std::uint64_t target, void (*tweak)(SystemConfig &),
-              std::uint64_t *retiredOut = nullptr)
+using test::functionalRun;
+
+/** The default system with @p tweak applied (nullptr = none). */
+SystemConfig
+tweaked(void (*tweak)(SystemConfig &))
 {
     SystemConfig cfg;
-    cfg.engine = eng;
     if (tweak)
         tweak(cfg);
-    std::unique_ptr<Monitor> mon;
-    if (!monitor.empty())
-        mon = makeMonitor(monitor);
-    MonitoringSystem sys(cfg, prof, mon.get());
-    sys.run(target);
-    sys.drain();
-    if (retiredOut)
-        *retiredOut = sys.retired();
-    return sys.functionalFingerprint();
+    return cfg;
 }
 
 /** Per-cycle reference vs run-grain on a matched instruction window. */
@@ -427,10 +413,10 @@ expectRunGrainFunctional(const std::string &monitor,
 {
     std::uint64_t matched = 0;
     std::vector<std::uint64_t> ref =
-        functionalRun(Engine::PerCycle, monitor, prof, kRun, tweak,
-                      &matched);
+        functionalRun(Engine::PerCycle, monitor, prof, kRun,
+                      tweaked(tweak), &matched);
     EXPECT_EQ(functionalRun(Engine::RunGrain, monitor, prof, matched,
-                            tweak),
+                            tweaked(tweak)),
               ref);
 }
 
@@ -542,11 +528,11 @@ TEST(RunGrainEngine, UnacceleratedDivergesOnlyInHandlerLength)
     std::uint64_t matched = 0;
     auto tweak = [](SystemConfig &c) { c.accelerated = false; };
     std::vector<std::uint64_t> ref = functionalRun(
-        Engine::PerCycle, "AddrCheck", specProfile("gcc"), kRun, tweak,
-        &matched);
+        Engine::PerCycle, "AddrCheck", specProfile("gcc"), kRun,
+        tweaked(tweak), &matched);
     std::vector<std::uint64_t> grain = functionalRun(
         Engine::RunGrain, "AddrCheck", specProfile("gcc"), matched,
-        tweak);
+        tweaked(tweak));
     ASSERT_EQ(grain.size(), ref.size());
     EXPECT_NE(grain[2], ref[2]); // handlerInstructions: prepare skew
     grain[2] = ref[2] = 0;
@@ -565,11 +551,15 @@ TEST(RunGrainEngine, DocumentedDivergencesAreReal)
     //    filter blocks gathers pre-handler register metadata.
     //  - AddrCheck, drainOnHighLevel = false: malloc/free handlers
     //    race the filter pipe instead of draining it.
+    //  - MemCheck with two filter units: a unit's non-blocking updates
+    //    are not forwarded to the other unit's events.
+    //  - MemCheck on a multi-threaded process: thread switches with
+    //    older events still in flight.
     struct Case
     {
         const char *name;
         const char *monitor;
-        const char *profile;
+        BenchProfile profile;
         std::uint64_t target;
         void (*apply)(SystemConfig &);
     };
@@ -577,21 +567,25 @@ TEST(RunGrainEngine, DocumentedDivergencesAreReal)
         // Taint sources are rare (~5e-5/inst), so the async window
         // needs a longer run before a tainted pointer-copy lands in
         // it; 4 * kRun diverges reliably on astar.
-        {"taintNonBlocking", "TaintCheck", "astar", 4 * kRun, nullptr},
-        {"memLeakBlocking", "MemLeak", "astar", kRun,
+        {"taintNonBlocking", "TaintCheck", specProfile("astar"),
+         4 * kRun, nullptr},
+        {"memLeakBlocking", "MemLeak", specProfile("astar"), kRun,
          [](SystemConfig &c) { c.fade.nonBlocking = false; }},
-        {"noDrainOnHighLevel", "AddrCheck", "gcc", kRun,
+        {"noDrainOnHighLevel", "AddrCheck", specProfile("gcc"), kRun,
          [](SystemConfig &c) { c.fade.drainOnHighLevel = false; }},
+        {"memCheckTwoUnits", "MemCheck", specProfile("astar"), kRun,
+         [](SystemConfig &c) { c.fadesPerShard = 2; }},
+        {"memCheckProcess", "MemCheck", threadedProfile("ocean"), kRun,
+         nullptr},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
         std::uint64_t matched = 0;
-        std::vector<std::uint64_t> ref = functionalRun(
-            Engine::PerCycle, c.monitor, specProfile(c.profile),
-            c.target, c.apply, &matched);
-        EXPECT_NE(functionalRun(Engine::RunGrain, c.monitor,
-                                specProfile(c.profile), matched,
-                                c.apply),
+        std::vector<std::uint64_t> ref =
+            functionalRun(Engine::PerCycle, c.monitor, c.profile,
+                          c.target, tweaked(c.apply), &matched);
+        EXPECT_NE(functionalRun(Engine::RunGrain, c.monitor, c.profile,
+                                matched, tweaked(c.apply)),
                   ref);
     }
 }
@@ -713,6 +707,162 @@ TEST(RunGrainEngine, DriverAccountingIsSane)
               0u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.appInstructions, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Run-grain goldens
+// ---------------------------------------------------------------------
+//
+// The functional subset of a run-grain result is checked against the
+// per-cycle reference above; its modeled timing has no reference but
+// itself. These hashes of the full run-grain resultFingerprint() pin
+// it: every monitor with one and two filter units, every system shape,
+// the parallel scheduler, capture/replay, and a process workload.
+
+namespace
+{
+
+/** The run-grain run of @p cfg must hash to its golden. */
+void
+expectRunGrainGolden(MultiCoreConfig cfg, std::uint64_t golden,
+                     std::uint64_t warm = kWarm, std::uint64_t run = kRun)
+{
+    cfg.engine = Engine::RunGrain;
+    expectGolden(cfg, golden, warm, run);
+}
+
+} // namespace
+
+TEST(RunGrainGolden, AcrossMonitorsAndFilterUnits)
+{
+    const struct
+    {
+        const char *monitor;
+        std::uint64_t hash[2]; ///< fadesPerShard = 1, 2
+    } golden[] = {
+        {"AddrCheck", {0xBF88C4F7244E18D5ULL, 0x1C931905ABAC5F7AULL}},
+        {"AtomCheck", {0x045A1F1028EC10D0ULL, 0x417E26C26937DE60ULL}},
+        {"MemCheck", {0x2F8186751E69832AULL, 0x3664EBFB6FF955BBULL}},
+        {"MemLeak", {0xE2CA96727277ADAAULL, 0x25981E00F0011996ULL}},
+        {"RaceCheck", {0xA3CE95EF89CA0888ULL, 0x6C2426F38D88957AULL}},
+        {"SharedTaint", {0xAA2585C8E1476A10ULL, 0x40298576A1B6AE06ULL}},
+        {"TaintCheck", {0x7629E14C9645A5B9ULL, 0xAF4AC127DCDD4AA7ULL}},
+    };
+    ASSERT_EQ(monitorNames().size(), sizeof(golden) / sizeof(golden[0]));
+    for (const auto &g : golden) {
+        for (unsigned fades : {1u, 2u}) {
+            SCOPED_TRACE(testing::Message() << g.monitor << " fades="
+                                            << fades);
+            MultiCoreConfig cfg = baseConfig("astar", 2);
+            cfg.monitor = g.monitor;
+            cfg.topology.fadesPerShard = fades;
+            expectRunGrainGolden(cfg, g.hash[fades - 1]);
+        }
+    }
+}
+
+TEST(RunGrainGolden, AcrossSystemVariants)
+{
+    struct Variant
+    {
+        const char *name;
+        const char *monitor;
+        void (*apply)(MultiCoreConfig &);
+        std::uint64_t hash;
+    };
+    const Variant variants[] = {
+        {"unaccelerated", "AddrCheck",
+         [](MultiCoreConfig &c) { c.shard.accelerated = false; },
+         0x42D781D4DBF6580BULL},
+        {"unacceleratedTaint", "TaintCheck",
+         [](MultiCoreConfig &c) { c.shard.accelerated = false; },
+         0x6B64FFE5A6B9C3E2ULL},
+        {"unacceleratedTwoCore", "AddrCheck",
+         [](MultiCoreConfig &c) {
+             c.shard.accelerated = false;
+             c.shard.twoCore = true;
+         },
+         0xBDC23A696903A65FULL},
+        {"twoCore", "AddrCheck",
+         [](MultiCoreConfig &c) { c.shard.twoCore = true; },
+         0xFED5CAEEE2012C55ULL},
+        {"perfectConsumer", "AddrCheck",
+         [](MultiCoreConfig &c) {
+             c.shard.perfectConsumer = true;
+             c.shard.eqCapacity = 0;
+         },
+         0xD02A42420F443951ULL},
+        {"blockingFade", "AddrCheck",
+         [](MultiCoreConfig &c) { c.shard.fade.nonBlocking = false; },
+         0x4995E7E0A252D1FDULL},
+        {"noDrainOnHighLevel", "AddrCheck",
+         [](MultiCoreConfig &c) {
+             c.shard.fade.drainOnHighLevel = false;
+         },
+         0xF14E606DCE413C9CULL},
+        {"inOrderCore", "AddrCheck",
+         [](MultiCoreConfig &c) { c.shard.core = inOrderParams(); },
+         0xEA94C2B7714A2996ULL},
+        {"leanCoreTinyQueues", "AddrCheck",
+         [](MultiCoreConfig &c) {
+             c.shard.core = leanOooParams();
+             c.shard.eqCapacity = 4;
+             c.shard.ueqCapacity = 2;
+         },
+         0xDD97B6A430DDF2DAULL},
+        {"unmonitored", "", nullptr, 0x87797899DCF307D1ULL},
+    };
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.name);
+        MultiCoreConfig cfg = baseConfig("gcc");
+        cfg.monitor = v.monitor;
+        if (v.apply)
+            v.apply(cfg);
+        expectRunGrainGolden(cfg, v.hash);
+    }
+}
+
+TEST(RunGrainGolden, ParallelBatchedTwoShards)
+{
+    MultiCoreConfig cfg = baseConfig("hmmer", 2);
+    cfg.scheduler.policy = SchedulerPolicy::ParallelBatched;
+    cfg.scheduler.hostThreads = 2;
+    expectRunGrainGolden(cfg, 0x41A09578FC84F9D8ULL, 3000, 6000);
+}
+
+TEST(RunGrainGolden, ProcessWorkload)
+{
+    // One 4-thread process over two shards (the -mt daemon shape).
+    MultiCoreConfig cfg;
+    cfg.workloads = {threadedProfile("ocean")};
+    cfg.monitor = "RaceCheck";
+    cfg.numShards = 2;
+    expectRunGrainGolden(cfg, 0x198BAACA60BE2FA6ULL);
+}
+
+TEST(RunGrainGolden, CaptureAndReplay)
+{
+    // A live run-grain capture (instructions pass the capture tee) and
+    // the replay of that trace (instructions come from decoded blocks).
+    test::TempFile trace;
+    MultiCoreConfig cfg = baseConfig("mcf", 2);
+    cfg.monitor = "MemCheck";
+    cfg.engine = Engine::RunGrain;
+    cfg.traceOut = trace.path();
+    std::uint64_t live = 0;
+    {
+        MultiCoreSystem sys(cfg);
+        sys.warmup(kWarm);
+        MultiCoreResult r = sys.run(kRun);
+        live = fingerprintHash(resultFingerprint(sys, r));
+        sys.closeTrace(live);
+    }
+    EXPECT_EQ(live, 0x3B923221F4D4FBB2ULL)
+        << "actual hash 0x" << std::hex << live;
+
+    MultiCoreConfig rep = replayConfig(trace.path());
+    rep.engine = Engine::RunGrain;
+    expectRunGrainGolden(rep, 0x3B923221F4D4FBB2ULL);
 }
 
 } // namespace fade

@@ -21,11 +21,10 @@
  *  - capture through the span tee and replay through block-decoded
  *    spans reproduce the live stream record for record;
  *  - bulk event extraction (EventProducer::commitSpan) emits the same
- *    events, field for field, as one-at-a-time commitDecided();
- *  - the run-grain engine produces identical result fingerprints
- *    (functional AND modeled-timing values) with the span path forced
- *    off (SystemConfig::spanFastPath), i.e. the fast path is invisible
- *    to every simulated value.
+ *    events, field for field, as the per-cycle engine's one-at-a-time
+ *    EventProducer::onCommit();
+ *  - the run-grain engine's result fingerprints (functional AND
+ *    modeled-timing values) are pinned by goldens.
  */
 
 #include <gtest/gtest.h>
@@ -295,11 +294,12 @@ TEST(SpanPathTrace, CaptureReplayRoundTrip)
 }
 
 /** Bulk extraction (commitSpan) over a staged window with monitor
- *  verdicts emits exactly the events one-at-a-time commitDecided()
- *  does: same count, same fields, same sequence numbers, same retired
- *  and produced accounting — for every span size, including the
- *  degenerate 1 and sizes that do not divide the window. */
-TEST(SpanPathExtraction, CommitSpanMatchesCommitDecided)
+ *  verdicts emits exactly the events the per-cycle engine's
+ *  one-at-a-time onCommit() does: same count, same fields, same
+ *  sequence numbers, same retired and produced accounting — for every
+ *  span size, including the degenerate 1 and sizes that do not divide
+ *  the window. */
+TEST(SpanPathExtraction, CommitSpanMatchesOnCommit)
 {
     constexpr std::size_t kWindow = 6000;
     constexpr std::uint8_t kShard = 3;
@@ -317,13 +317,14 @@ TEST(SpanPathExtraction, CommitSpanMatchesCommitDecided)
         makeMonitor(monitor)->monitoredSpan(window.data(), kWindow,
                                             verdicts.data());
 
-        // Reference: one retirement at a time through a one-slot queue.
+        // Reference: one retirement at a time through a one-slot queue,
+        // the monitor deciding each verdict itself.
         auto refMon = makeMonitor(monitor);
         BoundedQueue<MonEvent> one(1);
         EventProducer ref(refMon.get(), &one, nullptr, kShard);
         std::vector<MonEvent> want;
         for (std::size_t i = 0; i < kWindow; ++i) {
-            ref.commitDecided(window[i], verdicts[i] != 0);
+            ref.onCommit(window[i]);
             if (!one.empty()) {
                 want.push_back(one.front());
                 one.pop();
@@ -361,33 +362,40 @@ TEST(SpanPathExtraction, CommitSpanMatchesCommitDecided)
     }
 }
 
-/** The run-grain span fast path is invisible to every simulated
- *  value: identical result fingerprints (functional results, modeled
- *  timing, queue statistics, bug reports) with spanFastPath off. */
-TEST(SpanPathEngine, ForcedOffFingerprintIdentical)
+/** The run-grain engine's span path, pinned: full result-fingerprint
+ *  hashes (functional results, modeled timing, queue statistics, bug
+ *  reports) of two-shard runs with one and two filter units per shard,
+ *  captured when a per-instruction path still ran beside the span path
+ *  and produced the same values. */
+TEST(SpanPathEngine, PinnedFingerprints)
 {
-    for (const char *monitor : {"AddrCheck", "TaintCheck", ""}) {
+    const struct
+    {
+        const char *monitor;
+        std::uint64_t hash[2]; ///< fadesPerShard = 1, 2
+    } golden[] = {
+        {"AddrCheck", {0xCD0D9C70E183980CULL, 0xF063F01DFFFA1E9FULL}},
+        {"TaintCheck", {0x68EACD1EB9C9CAC1ULL, 0xF428CB6DABC2A06CULL}},
+        {"", {0xBC0DBBDEC9EFC76EULL, 0xBC0DBBDEC9EFC76EULL}},
+    };
+    for (const auto &g : golden) {
         for (unsigned fades : {1u, 2u}) {
-            MultiCoreConfig on;
-            on.engine = Engine::RunGrain;
-            on.monitor = monitor;
-            on.workloads = {specProfile("astar"), specProfile("gcc")};
-            on.numShards = 2;
-            on.shard.fadesPerShard = fades;
-            MultiCoreConfig off = on;
-            off.shard.spanFastPath = false;
-
-            auto run = [](const MultiCoreConfig &cfg) {
-                MultiCoreSystem sys(cfg);
-                sys.warmup(2000);
-                MultiCoreResult r = sys.run(8000);
-                return resultFingerprint(sys, r);
-            };
-            EXPECT_EQ(run(on), run(off))
-                << "monitor=" << monitor << " fades=" << fades;
+            SCOPED_TRACE(testing::Message() << "monitor=" << g.monitor
+                                            << " fades=" << fades);
+            MultiCoreConfig cfg;
+            cfg.engine = Engine::RunGrain;
+            cfg.monitor = g.monitor;
+            cfg.workloads = {specProfile("astar"), specProfile("gcc")};
+            cfg.numShards = 2;
+            cfg.topology.fadesPerShard = fades;
+            MultiCoreSystem sys(cfg);
+            sys.warmup(2000);
+            MultiCoreResult r = sys.run(8000);
+            std::uint64_t h = fingerprintHash(resultFingerprint(sys, r));
+            EXPECT_EQ(h, g.hash[fades - 1])
+                << "actual hash 0x" << std::hex << h;
         }
     }
 }
 
 } // namespace fade
-

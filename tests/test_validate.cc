@@ -13,7 +13,9 @@
  *    engine x slice, -mt process workloads included). No sample ends
  *    the process; every rejected sample gets a typed SessionReject;
  *    every accepted one runs to completion and its fingerprints repeat
- *    exactly, across reruns and across scheduler policies; and a
+ *    exactly, across reruns and across scheduler policies; every
+ *    accepted one the run-grain functional-equality contract covers
+ *    gives the same functional fingerprint under both engines; and a
  *    sample of the validator's rejections are re-checked as death tests
  *    against the constructor.
  */
@@ -24,6 +26,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "daemon/session.hh"
@@ -35,6 +38,7 @@
 
 using namespace fade;
 using namespace fade::daemon;
+using fade::test::functionalRun;
 using fade::test::rewriteTrace;
 using fade::test::TempDir;
 
@@ -161,6 +165,29 @@ validatorReject(const WireSessionConfig &wc, const SessionReject &r)
     return ValidatorReject{*cfg, *err};
 }
 
+/**
+ * Why the run-grain functional-equality contract does not cover the
+ * single-shard system of @p monitor on @p prof with @p fades filter
+ * units, or nullptr when it does (docs/ARCHITECTURE.md, "The
+ * functional-equality contract" and its "Documented divergences";
+ * the walk keeps the default non-blocking, draining FADE).
+ */
+const char *
+outsideEngineContract(const std::string &monitor, const BenchProfile &prof,
+                      unsigned fades)
+{
+    if (monitor == "TaintCheck" || monitor == "MemLeak")
+        return "divergence 1: feedback monitor, non-blocking FADE";
+    if (monitor == "MemCheck" && fades > 1)
+        return "divergence 7: non-blocking updates across filter units";
+    if (monitor == "MemCheck" && prof.isProcess())
+        return "divergence 8: thread switches with events in flight";
+    if (monitor == "AtomCheck" || monitor == "RaceCheck" ||
+        monitor == "SharedTaint")
+        return "multi-threaded monitor outside the contract";
+    return nullptr;
+}
+
 } // namespace
 
 // ================================================== validator rules
@@ -241,6 +268,8 @@ TEST(ValidateConfig, ReplayConfigChecksStreamCount)
     const TraceManifest captured = TraceReader(trace).manifest();
     MultiCoreConfig rep = replayConfig(trace);
     EXPECT_FALSE(validateConfig(rep).has_value());
+    // The system replays from the reader replayConfig() opened.
+    EXPECT_EQ(MultiCoreSystem(rep).traceReader(), rep.traceIn.get());
 
     const std::string crafted = dir.file("crafted.ftrace");
     TraceManifest m = captured;
@@ -261,6 +290,19 @@ TEST(ValidateConfig, ReplayConfigChecksStreamCount)
     m.shardsPerCluster = 1;
     rewriteTrace(trace, crafted, m);
     EXPECT_FALSE(validateConfig(replayConfig(crafted)).has_value());
+
+    // A count that does not fit its config field is an error, never
+    // its low bits.
+    const std::uint64_t wrapped = (std::uint64_t(1) << 32) + 1;
+    for (std::uint64_t TraceManifest::*field :
+         {&TraceManifest::fadesPerShard, &TraceManifest::remoteLatency,
+          &TraceManifest::coreWidth, &TraceManifest::robSize,
+          &TraceManifest::mispredictPenalty}) {
+        m = captured;
+        m.*field = wrapped;
+        rewriteTrace(trace, crafted, m);
+        EXPECT_THROW(replayConfig(crafted), TraceError);
+    }
 }
 
 // ================================================== knob-space walk
@@ -303,6 +345,48 @@ TEST(ValidateProperty, KnobSpaceRejectsTypedOrRunsDeterministically)
     EXPECT_GE(accepted, 40u);
     EXPECT_GE(rejected, 40u);
     EXPECT_GE(validatorMessages.size(), 6u);
+}
+
+TEST(ValidateProperty, AcceptedSamplesRunGrainMatchesPerCycle)
+{
+    // Randomized engine equality: every accepted sample gives the same
+    // functional fingerprint under both engines on a matched window,
+    // unless docs/ARCHITECTURE.md says why not. Matching windows needs
+    // one shard (per-cycle overshoots its retirement target shard by
+    // shard), so each sample runs as its shard-0 system: the monitor,
+    // shard 0's workload and the filter-unit count the sample chose.
+    constexpr std::uint64_t kWindow = 10000;
+    std::set<std::tuple<std::string, std::string, unsigned>> seen;
+    unsigned compared = 0;
+    for (const WireSessionConfig &wc : knobSamples()) {
+        try {
+            sessionPlan(wc);
+        } catch (const SessionReject &) {
+            continue;
+        }
+        std::optional<MultiCoreConfig> cfg = systemConfig(wc);
+        ASSERT_TRUE(cfg.has_value());
+        const BenchProfile prof = shardWorkload(cfg->workloads, 0);
+        if (outsideEngineContract(cfg->monitor, prof, wc.fadesPerShard))
+            continue;
+        if (!seen.emplace(cfg->monitor, prof.name, wc.fadesPerShard)
+                 .second)
+            continue;
+        SCOPED_TRACE(testing::Message() << "monitor=" << cfg->monitor
+                                        << " profile=" << prof.name
+                                        << " fades=" << wc.fadesPerShard);
+        SystemConfig shard;
+        shard.fadesPerShard = wc.fadesPerShard;
+        std::uint64_t matched = 0;
+        std::vector<std::uint64_t> ref =
+            functionalRun(Engine::PerCycle, cfg->monitor, prof, kWindow,
+                          shard, &matched);
+        EXPECT_EQ(functionalRun(Engine::RunGrain, cfg->monitor, prof,
+                                matched, shard),
+                  ref);
+        ++compared;
+    }
+    EXPECT_GE(compared, 15u);
 }
 
 TEST(ValidateProperty, ValidatorRejectionsMatchConstructorFatal)

@@ -4,7 +4,8 @@
  * wrappers used by every suite that round-trips files through disk
  * (trace capture, golden replay, threaded-matrix capture tests), the
  * unique-socket-path helper the daemon tests bind their unix sockets
- * under, and a trace rewriter for crafting manifests.
+ * under, a trace rewriter for crafting manifests, and the quiesced
+ * single-shard run the engine-equality tests compare.
  */
 
 #ifndef FADE_TESTS_TESTUTIL_HH
@@ -14,10 +15,14 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "monitor/factory.hh"
+#include "system/system.hh"
 #include "trace/tracefile.hh"
 
 namespace fade::test
@@ -132,6 +137,32 @@ rewriteTrace(const std::string &from, const std::string &to,
     }
     w.setManifest(m);
     w.close();
+}
+
+/**
+ * One single-shard run of @p cfg under @p eng, quiesced: run to
+ * @p target retirements, drain, and return the cumulative functional
+ * fingerprint. @p retiredOut receives the post-drain retirement count
+ * (per-cycle overshoots the target by up to commit-width-1 and retires
+ * an unmonitored tail during drain; run-grain stops exactly on
+ * target), which is how a caller matches windows across engines: run
+ * per-cycle first, then run-grain to the count it reported.
+ */
+inline std::vector<std::uint64_t>
+functionalRun(Engine eng, const std::string &monitor,
+              const BenchProfile &prof, std::uint64_t target,
+              SystemConfig cfg = {}, std::uint64_t *retiredOut = nullptr)
+{
+    cfg.engine = eng;
+    std::unique_ptr<Monitor> mon;
+    if (!monitor.empty())
+        mon = makeMonitor(monitor);
+    MonitoringSystem sys(cfg, prof, mon.get());
+    sys.run(target);
+    sys.drain();
+    if (retiredOut)
+        *retiredOut = sys.retired();
+    return sys.functionalFingerprint();
 }
 
 } // namespace fade::test
